@@ -23,6 +23,8 @@
 //     transient nack cohorts).  Reported per case, and in the --json
 //     output bench_all aggregates: waves-to-convergence, push retries per
 //     vehicle, and the p99 sim-time to installed.
+//   * BM_StatusAppend — the WAL stage alone: ns to encode and append one
+//     status paragraph for the campaign row shape.
 //   * BM_FleetMegaCampaign — the memory-scaling probe: one seeded
 //     multi-model campaign (vehicles bound round-robin over N distinct
 //     models, so the content-addressed package cache holds one batch per
@@ -620,10 +622,61 @@ std::vector<std::int64_t> ParseList(const std::string& csv) {
   return values;
 }
 
+// The WAL stage on its own: one status paragraph for the campaign app's
+// 4-plug-in x 8-port row, written the way the server's WriteStatus
+// writes it — the view encoder into a reused per-shard buffer, then one
+// CRC-framed StatusDb append to a MemorySink.  Time per iteration is ns
+// per paragraph; the end-to-end durable campaign numbers decompose
+// against it.
+void BM_StatusAppend(benchmark::State& state) {
+  const server::VehicleModelConf model = fes::MakeRpiTestbedConf();
+  fes::SyntheticAppParams params;
+  params.name = "campaign";
+  params.vehicle_model = model.model;
+  params.plugin_count = kPlugins;
+  params.ports_per_plugin = kPorts;
+  params.target_ecu = 1;
+  params.binary_padding = kBinaryPadding;
+  const server::App app = fes::MakeSyntheticApp(params);
+  server::PackageCache cache;
+  auto batch =
+      cache.Acquire(model.model, app, app.confs.front(), model.sw, {});
+  if (!batch.ok()) {
+    state.SkipWithError("could not generate the campaign batch");
+    return;
+  }
+  const server::BatchManifest& manifest = *batch->manifest;
+  const server::ParagraphHead head{"VIN1-000001", manifest.app_name,
+                                   manifest.version, server::Want::kInstall,
+                                   server::DbState::kHalfInstalled};
+  support::MemorySink sink;
+  server::StatusDb db(sink);
+  support::Bytes record;
+  // Clearing the sink keeps its capacity, so memory stays bounded and
+  // the appends never pay a reallocation after the first lap.
+  constexpr std::size_t kClearEvery = 4096;
+  std::size_t since_clear = 0;
+  for (auto _ : state) {
+    server::StatusDb::EncodeParagraph(head, &manifest, record);
+    if (!db.AppendRaw(record).ok()) {
+      state.SkipWithError("status append failed");
+      break;
+    }
+    if (++since_clear == kClearEvery) {
+      sink.Clear();
+      since_clear = 0;
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["record_bytes"] = static_cast<double>(record.size());
+}
+
 void RegisterFleetBenchmarks(const std::vector<std::int64_t>& shard_list,
                              const std::vector<std::int64_t>& fleet_list,
                              const std::vector<std::int64_t>& lane_list,
                              bool overridden) {
+  benchmark::RegisterBenchmark("BM_StatusAppend", BM_StatusAppend)
+      ->Unit(benchmark::kNanosecond);
   auto* campaign =
       benchmark::RegisterBenchmark("BM_FleetCampaign", BM_FleetCampaign)
           ->ArgNames({"shards", "fleet", "lanes"})

@@ -328,14 +328,17 @@ void CampaignEngine::Evaluate(Campaign& campaign) {
   for (std::size_t i = 0; i < campaign.rows.size(); ++i) {
     CampaignRow& row = campaign.rows[i];
     if (!Retriable(row.state)) continue;
-    auto state = server_.AppState(row.vin, campaign.app_name);
+    if (row.ref.vehicle == FleetStore::kNil) {
+      row.ref = server_.ResolveVehicle(row.vin);
+    }
+    const RowProbe probe = server_.ProbeRow(row.ref, campaign.app_name);
     if (campaign.kind == CampaignKind::kDeploy) {
-      if (state.ok() && *state == InstallState::kInstalled) {
+      if (probe == RowProbe::kInstalled) {
         row.state = CampaignRowState::kDone;
         row.done_at = simulator_.Now();
         row.error = support::ErrorCode::kOk;
         campaign.dirty.push_back(static_cast<std::uint32_t>(i));
-      } else if (state.ok() && *state == InstallState::kFailed) {
+      } else if (probe == RowProbe::kFailed) {
         row.state = CampaignRowState::kNacked;
         campaign.dirty.push_back(static_cast<std::uint32_t>(i));
       }
@@ -343,10 +346,11 @@ void CampaignEngine::Evaluate(Campaign& campaign) {
       // their engine state; the next wave picks them up.
     } else {
       // Rollback converges when the row is gone — but only for vehicles
-      // the server actually knows: an unknown VIN must fall through to
-      // the wave push, whose NotFound rejection fails the row instead of
-      // reporting a fleet the server never touched as converged.
-      if (!state.ok() && server_.HasVehicle(row.vin)) {
+      // the server actually knows: an unknown (or unbound) VIN must fall
+      // through to the wave push, whose NotFound rejection fails the row
+      // instead of reporting a fleet the server never touched as
+      // converged.
+      if (probe == RowProbe::kNoRow) {
         row.state = CampaignRowState::kDone;
         row.done_at = simulator_.Now();
         row.error = support::ErrorCode::kOk;
@@ -396,18 +400,20 @@ void CampaignEngine::Finish(Campaign& campaign, CampaignStatus status) {
 
 void CampaignEngine::PushWave(Campaign& campaign,
                               const std::vector<std::size_t>& retry) {
-  std::vector<std::string> vins;
-  vins.reserve(retry.size());
+  // Rows were resolved by this tick's Evaluate.
+  std::vector<WaveTarget> targets;
+  targets.reserve(retry.size());
   for (std::size_t index : retry) {
-    campaign.rows[index].state = CampaignRowState::kRetrying;
-    vins.push_back(campaign.rows[index].vin);
+    CampaignRow& row = campaign.rows[index];
+    row.state = CampaignRowState::kRetrying;
+    targets.push_back(WaveTarget{row.vin, row.ref});
     campaign.dirty.push_back(static_cast<std::uint32_t>(index));
   }
   ++campaign.waves_pushed;
   campaign.last_push_at = simulator_.Now();
 
-  auto outcomes =
-      server_.CampaignWavePush(campaign.user, campaign.app_name, campaign.kind, vins);
+  auto outcomes = server_.CampaignWavePush(campaign.user, campaign.app_name,
+                                           campaign.kind, targets);
 
   std::size_t pushed = 0, offline = 0, rejected = 0, done = 0;
   for (std::size_t i = 0; i < retry.size(); ++i) {

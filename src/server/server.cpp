@@ -118,33 +118,6 @@ bool RowAnyFailed(const FleetStore::InstallRow& row) {
 /// failure that survives three immediate retries is not transient.
 constexpr int kStatusRetryBudget = 3;
 
-/// The status paragraph recording `row` at (want, state) — shared by the
-/// live write-ahead path (WriteStatus) and checkpoint compaction, so a
-/// compacted log replays exactly like the raw one.
-StatusParagraph ParagraphFor(std::string_view vin,
-                             const FleetStore::InstallRow& row, Want want,
-                             DbState state) {
-  const BatchManifest& manifest = *row.manifest;
-  StatusParagraph paragraph;
-  paragraph.vin = std::string(vin);
-  paragraph.app = manifest.app_name;
-  paragraph.version = manifest.version;
-  paragraph.want = want;
-  paragraph.state = state;
-  paragraph.plugins.reserve(manifest.plugins.size());
-  for (const BatchManifest::Plugin& plugin : manifest.plugins) {
-    StatusParagraph::PluginIds ids;
-    ids.plugin = plugin.name;
-    ids.ecu_id = plugin.ecu_id;
-    ids.unique_ids.reserve(plugin.pic.entries.size());
-    for (const pirte::PicEntry& entry : plugin.pic.entries) {
-      ids.unique_ids.push_back(entry.unique_id);
-    }
-    paragraph.plugins.push_back(std::move(ids));
-  }
-  return paragraph;
-}
-
 }  // namespace
 
 std::string_view InstallStateName(InstallState state) {
@@ -301,12 +274,12 @@ support::Status TrustedServer::UploadApp(App app) {
 // --- operations -----------------------------------------------------------------------
 
 support::Status TrustedServer::DeployOnShard(Shard& shard, UserId user,
-                                             const std::string& vin,
+                                             std::uint32_t vehicle,
+                                             std::string_view vin,
                                              const App& app, bool batched) {
   FleetStore& store = shard.store;
-  const std::uint32_t vehicle = store.Find(vin);
   if (vehicle == kNil || !store.bound(vehicle)) {
-    return support::NotFound("VIN: " + vin);
+    return support::NotFound("VIN: " + std::string(vin));
   }
   DACM_RETURN_IF_ERROR(CheckOwnership(user, store.owner(vehicle), vin));
   if (store.FindRow(vehicle, app.name) != kNil) {
@@ -375,10 +348,13 @@ support::Status TrustedServer::DeployOnShard(Shard& shard, UserId user,
   }
 
   // The Pusher needs a live connection; reject before any state changes so
-  // a retry starts from a clean table.
-  if (!store.HasLiveConnection(vehicle)) {
+  // a retry starts from a clean table.  The peer found here is the one
+  // every push below uses (connections only change on the simulation
+  // thread, never under this call).
+  sim::NetPeer* peer = store.FirstConnectedPeer(vehicle);
+  if (peer == nullptr) {
     ++shard.stats.deploys_rejected;
-    return support::Unavailable("vehicle offline: " + vin);
+    return support::Unavailable("vehicle offline: " + std::string(vin));
   }
 
   // Content-addressed batch acquisition: generation + serialization run
@@ -398,13 +374,13 @@ support::Status TrustedServer::DeployOnShard(Shard& shard, UserId user,
   // Write-ahead: the half-installed paragraph hits the status DB before
   // the push leaves, so a crash between push and ack recovers into a
   // retriable kPending row instead of a silently lost deploy.
-  WriteStatus(vin, row, Want::kInstall, DbState::kHalfInstalled);
+  WriteStatus(shard, vin, row, Want::kInstall, DbState::kHalfInstalled);
 
   auto rollback = [&](const support::Status& error) {
     // Roll back the uncommitted row: a failed deploy must leave no trace
     // (a stale row would block retries and pin batch refcounts).  The
     // tombstone undoes the write-ahead paragraph above.
-    WriteStatusRemoved(vin, app.name, app.version, Want::kInstall);
+    WriteStatusRemoved(shard, vin, app.name, app.version, Want::kInstall);
     store.RemoveRow(vehicle, r);
     ++shard.stats.deploys_rejected;
     return error;
@@ -413,8 +389,7 @@ support::Status TrustedServer::DeployOnShard(Shard& shard, UserId user,
   if (batched) {
     // Campaign path: push the cached batch envelope — a refcount bump,
     // no per-vehicle serialization at all.
-    auto push = PushWireToVehicle(shard, vehicle, vin,
-                                  batch.payload->install_wire);
+    auto push = PushWireToVehicle(shard, peer, vin, batch.payload->install_wire);
     if (!push.ok()) return rollback(push);
   } else {
     for (std::size_t i = 0; i < batch.manifest->plugins.size(); ++i) {
@@ -424,7 +399,7 @@ support::Status TrustedServer::DeployOnShard(Shard& shard, UserId user,
       message.plugin_name = plugin.name;
       message.target_ecu = plugin.ecu_id;
       message.payload = batch.payload->packages[i];
-      auto push = PushToVehicle(shard, vehicle, vin, message);
+      auto push = PushToVehicle(shard, peer, vin, message);
       if (!push.ok()) return rollback(push);
     }
   }
@@ -454,7 +429,8 @@ support::Status TrustedServer::Deploy(UserId user, const std::string& vin,
     }
     return support::NotFound("app: " + app_name);
   }
-  return DeployOnShard(shard, user, vin, app_it->second, /*batched=*/false);
+  return DeployOnShard(shard, user, shard.store.Find(vin), vin, app_it->second,
+                       /*batched=*/false);
 }
 
 support::Result<CampaignReport> TrustedServer::DeployCampaign(
@@ -482,7 +458,8 @@ support::Result<CampaignReport> TrustedServer::DeployCampaign(
     outcome.ns.reserve(by_shard[index].size());
     for (const std::string* vin : by_shard[index]) {
       const auto start = std::chrono::steady_clock::now();
-      auto status = DeployOnShard(shard, user, *vin, app, /*batched=*/true);
+      auto status = DeployOnShard(shard, user, shard.store.Find(*vin), *vin,
+                                  app, /*batched=*/true);
       outcome.ns.push_back(static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
               std::chrono::steady_clock::now() - start)
@@ -520,10 +497,33 @@ WaveOutcome ClassifyPush(support::Status status) {
 
 }  // namespace
 
+VehicleRef TrustedServer::ResolveVehicle(std::string_view vin) const {
+  const std::size_t shard = ShardIndex(vin);
+  return VehicleRef{static_cast<std::uint32_t>(shard),
+                    shards_[shard].store.Find(vin)};
+}
+
+RowProbe TrustedServer::ProbeRow(VehicleRef ref,
+                                 std::string_view app_name) const {
+  const FleetStore& store = shards_[ref.shard].store;
+  if (ref.vehicle == kNil || !store.bound(ref.vehicle)) {
+    return RowProbe::kNoVehicle;
+  }
+  const std::uint32_t r = store.FindRow(ref.vehicle, app_name);
+  if (r == kNil) return RowProbe::kNoRow;
+  switch (store.row(r).state) {
+    case InstallState::kPending: return RowProbe::kPending;
+    case InstallState::kInstalled: return RowProbe::kInstalled;
+    case InstallState::kFailed: return RowProbe::kFailed;
+    case InstallState::kUninstalling: return RowProbe::kUninstalling;
+  }
+  return RowProbe::kNoRow;
+}
+
 std::vector<WaveOutcome> TrustedServer::CampaignWavePush(
     UserId user, const std::string& app_name, CampaignKind kind,
-    std::span<const std::string> vins) {
-  std::vector<WaveOutcome> outcomes(vins.size());
+    std::span<const WaveTarget> targets) {
+  std::vector<WaveOutcome> outcomes(targets.size());
   std::shared_lock lock(catalog_mutex_);
   const App* app = nullptr;
   if (kind == CampaignKind::kDeploy) {
@@ -542,27 +542,28 @@ std::vector<WaveOutcome> TrustedServer::CampaignWavePush(
   // writing disjoint outcome slots (indexed by fleet position, so the
   // result keeps the caller's order).
   std::vector<std::vector<std::size_t>> by_shard(shards_.size());
-  for (std::size_t i = 0; i < vins.size(); ++i) {
-    by_shard[ShardIndex(vins[i])].push_back(i);
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    by_shard[targets[i].ref.shard].push_back(i);
   }
   pool_.ParallelFor(shards_.size(), [&](std::size_t index) {
     Shard& shard = shards_[index];
     for (std::size_t i : by_shard[index]) {
-      outcomes[i] = WavePushOnShard(shard, user, vins[i], app_name, app, kind);
+      outcomes[i] = WavePushOnShard(shard, user, targets[i], app_name, app, kind);
     }
   });
   return outcomes;
 }
 
 WaveOutcome TrustedServer::WavePushOnShard(Shard& shard, UserId user,
-                                           const std::string& vin,
+                                           const WaveTarget& target,
                                            const std::string& app_name,
                                            const App* app, CampaignKind kind) {
   FleetStore& store = shard.store;
-  const std::uint32_t vehicle = store.Find(vin);
+  const std::uint32_t vehicle = target.ref.vehicle;
+  const std::string_view vin = target.vin;
   if (vehicle == kNil || !store.bound(vehicle)) {
     return WaveOutcome{WaveOutcome::Action::kRejected,
-                       support::NotFound("VIN: " + vin)};
+                       support::NotFound("VIN: " + std::string(vin))};
   }
   if (auto owned = CheckOwnership(user, store.owner(vehicle), vin);
       !owned.ok()) {
@@ -589,14 +590,14 @@ WaveOutcome TrustedServer::WavePushOnShard(Shard& shard, UserId user,
     row.acked = 0;
     row.ack_ok = 0;
     // Write-ahead: half-removed before the uninstall batch leaves.
-    WriteStatus(vin, row, Want::kDeinstall, DbState::kHalfRemoved);
+    WriteStatus(shard, vin, row, Want::kDeinstall, DbState::kHalfRemoved);
     row.state = InstallState::kUninstalling;
-    auto push =
-        PushWireToVehicle(shard, vehicle, vin, row.manifest->uninstall_wire);
+    auto push = PushWireToVehicle(shard, store.FirstConnectedPeer(vehicle), vin,
+                                  row.manifest->uninstall_wire);
     if (!push.ok()) {
       row.state = previous;
       // Undo the write-ahead: re-record the state the row snapped back to.
-      WriteStatus(vin, row, WantFor(previous), DbStateFor(previous));
+      WriteStatus(shard, vin, row, WantFor(previous), DbStateFor(previous));
       return ClassifyPush(std::move(push));
     }
     row.pushed_at = network_.simulator().Now();
@@ -614,7 +615,7 @@ WaveOutcome TrustedServer::WavePushOnShard(Shard& shard, UserId user,
         return WaveOutcome{
             WaveOutcome::Action::kRejected,
             support::FailedPrecondition("uninstall of " + app_name +
-                                        " in progress on " + vin)};
+                                        " in progress on " + std::string(vin))};
       case InstallState::kPending:
         // Pushed in an earlier wave but the acks never came back (link
         // flap): re-push the recorded batch verbatim.
@@ -622,14 +623,15 @@ WaveOutcome TrustedServer::WavePushOnShard(Shard& shard, UserId user,
       case InstallState::kFailed: {
         // A nacked row blocks redeployment; clear it and fall through to
         // a fresh deploy.
-        WriteStatusRemoved(vin, row.manifest->app_name, row.manifest->version,
-                           Want::kInstall);
+        WriteStatusRemoved(shard, vin, row.manifest->app_name,
+                           row.manifest->version, Want::kInstall);
         store.RemoveRow(vehicle, r);
         break;
       }
     }
   }
-  return ClassifyPush(DeployOnShard(shard, user, vin, *app, /*batched=*/true));
+  return ClassifyPush(
+      DeployOnShard(shard, user, vehicle, vin, *app, /*batched=*/true));
 }
 
 support::Status TrustedServer::RepushInstallBatch(Shard& shard,
@@ -645,9 +647,9 @@ support::Status TrustedServer::RepushInstallBatch(Shard& shard,
   FleetStore::InstallRow& row = shard.store.row(r);
   row.acked = 0;
   row.ack_ok = 0;
-  DACM_RETURN_IF_ERROR(PushWireToVehicle(shard, vehicle,
-                                         shard.store.VinOf(vehicle),
-                                         row.payload->install_wire));
+  DACM_RETURN_IF_ERROR(PushWireToVehicle(
+      shard, shard.store.FirstConnectedPeer(vehicle),
+      shard.store.VinOf(vehicle), row.payload->install_wire));
   row.pushed_at = network_.simulator().Now();
   ++shard.stats.repushes;
   return support::OkStatus();
@@ -683,7 +685,7 @@ support::Status TrustedServer::MaterializeRowPackages(Shard& shard,
   // Re-record the paragraph: the regenerated ids may differ from the
   // recorded ones if the layout shifted underneath (another app released
   // lower ids since the original deploy).
-  WriteStatus(shard.store.VinOf(vehicle), row, WantFor(row.state),
+  WriteStatus(shard, shard.store.VinOf(vehicle), row, WantFor(row.state),
               DbStateFor(row.state));
   return support::OkStatus();
 }
@@ -711,8 +713,9 @@ support::Status TrustedServer::UninstallApp(UserId user, const std::string& vin,
 
   FleetStore::InstallRow& row = store.row(r);
   // Write-ahead: half-removed before any uninstall message leaves.
-  WriteStatus(vin, row, Want::kDeinstall, DbState::kHalfRemoved);
+  WriteStatus(shard, vin, row, Want::kDeinstall, DbState::kHalfRemoved);
   row.state = InstallState::kUninstalling;
+  sim::NetPeer* peer = store.FirstConnectedPeer(vehicle);
   for (std::size_t i = 0; i < row.manifest->plugins.size(); ++i) {
     const BatchManifest::Plugin& plugin = row.manifest->plugins[i];
     row.acked &= ~(std::uint64_t{1} << i);
@@ -721,7 +724,7 @@ support::Status TrustedServer::UninstallApp(UserId user, const std::string& vin,
     message.type = pirte::MessageType::kUninstall;
     message.plugin_name = plugin.name;
     message.target_ecu = plugin.ecu_id;
-    DACM_RETURN_IF_ERROR(PushToVehicle(shard, vehicle, vin, message));
+    DACM_RETURN_IF_ERROR(PushToVehicle(shard, peer, vin, message));
   }
   ++shard.stats.uninstalls;
   return support::OkStatus();
@@ -761,7 +764,7 @@ support::Status TrustedServer::Restore(UserId user, const std::string& vin,
     }
     FleetStore::InstallRow& row = store.row(r);
     // Write-ahead: the row drops back to in-flight before the re-push.
-    WriteStatus(vin, row, Want::kInstall, DbState::kHalfInstalled);
+    WriteStatus(shard, vin, row, Want::kInstall, DbState::kHalfInstalled);
     row.state = InstallState::kPending;
     for (std::size_t i = 0; i < row.manifest->plugins.size(); ++i) {
       const BatchManifest::Plugin& plugin = row.manifest->plugins[i];
@@ -773,7 +776,8 @@ support::Status TrustedServer::Restore(UserId user, const std::string& vin,
       message.plugin_name = plugin.name;
       message.target_ecu = plugin.ecu_id;
       message.payload = row.payload->packages[i];
-      DACM_RETURN_IF_ERROR(PushToVehicle(shard, vehicle, vin, message));
+      DACM_RETURN_IF_ERROR(PushToVehicle(
+          shard, store.FirstConnectedPeer(vehicle), vin, message));
     }
   }
   if (!any) {
@@ -946,40 +950,36 @@ std::string TrustedServer::DependentsOf(const Shard& shard,
   return dependents;
 }
 
-void TrustedServer::WriteStatus(std::string_view vin,
+void TrustedServer::WriteStatus(Shard& shard, std::string_view vin,
                                 const FleetStore::InstallRow& row, Want want,
                                 DbState state) {
   if (status_db_ == nullptr) return;
-  const auto record =
-      StatusDb::EncodeParagraph(ParagraphFor(vin, row, want, state));
-  (void)AppendDurable(record);
-  // Lane = the VIN's shard: status writes for a VIN always run on the
-  // worker owning that shard (or on the sim thread while no fan-out is
-  // active), so the single-writer-per-lane rule holds.
-  support::Tracer::Instance().Instant(
-      static_cast<std::uint32_t>(ShardIndex(vin)) + 1, "wal.append", "wal",
-      network_.simulator().Now(),
-      {"bytes", static_cast<std::uint64_t>(record.size())}, {}, {}, "vin",
-      vin);
+  const BatchManifest& manifest = *row.manifest;
+  StatusDb::EncodeParagraph(
+      ParagraphHead{vin, manifest.app_name, manifest.version, want, state},
+      &manifest, shard.wal_buffer);
+  AppendShardRecord(shard, vin);
 }
 
-void TrustedServer::WriteStatusRemoved(std::string_view vin,
-                                       const std::string& app_name,
-                                       const std::string& version, Want want) {
+void TrustedServer::WriteStatusRemoved(Shard& shard, std::string_view vin,
+                                       std::string_view app_name,
+                                       std::string_view version, Want want) {
   if (status_db_ == nullptr) return;
-  StatusParagraph paragraph;
-  paragraph.vin = std::string(vin);
-  paragraph.app = app_name;
-  paragraph.version = version;
-  paragraph.want = want;
-  paragraph.state = DbState::kNotInstalled;
-  const auto record = StatusDb::EncodeParagraph(paragraph);
-  (void)AppendDurable(record);
+  StatusDb::EncodeParagraph(
+      ParagraphHead{vin, app_name, version, want, DbState::kNotInstalled},
+      nullptr, shard.wal_buffer);
+  AppendShardRecord(shard, vin);
+}
+
+void TrustedServer::AppendShardRecord(Shard& shard, std::string_view vin) {
+  (void)AppendDurable(shard.wal_buffer);
+  // The shard's lane: status writes for a VIN always run on the worker
+  // owning its shard (or on the sim thread while no fan-out is active),
+  // so the single-writer-per-lane rule holds.
   support::Tracer::Instance().Instant(
-      static_cast<std::uint32_t>(ShardIndex(vin)) + 1, "wal.append", "wal",
-      network_.simulator().Now(),
-      {"bytes", static_cast<std::uint64_t>(record.size())}, {}, {}, "vin",
-      vin);
+      TraceLane(shard), "wal.append", "wal", network_.simulator().Now(),
+      {"bytes", static_cast<std::uint64_t>(shard.wal_buffer.size())}, {}, {},
+      "vin", vin);
 }
 
 support::Status TrustedServer::AppendDurable(
@@ -1193,16 +1193,20 @@ support::Status TrustedServer::Compact() {
     // One paragraph per live install row — exactly what WriteStatus would
     // record for the row's current state, so replaying the checkpoint
     // reproduces this server.
+    support::Bytes record;
     for (const Shard& shard : shards_) {
       for (std::uint32_t v = 0; v < shard.store.size(); ++v) {
         if (!shard.store.bound(v)) continue;
         for (std::uint32_t r = shard.store.row_head(v); r != kNil;
              r = shard.store.row(r).next) {
           const FleetStore::InstallRow& row = shard.store.row(r);
-          DACM_RETURN_IF_ERROR(checkpoint.Append(
-              StatusDb::EncodeParagraph(ParagraphFor(shard.store.VinOf(v), row,
-                                                     WantFor(row.state),
-                                                     DbStateFor(row.state)))));
+          const BatchManifest& manifest = *row.manifest;
+          StatusDb::EncodeParagraph(
+              ParagraphHead{shard.store.VinOf(v), manifest.app_name,
+                            manifest.version, WantFor(row.state),
+                            DbStateFor(row.state)},
+              &manifest, record);
+          DACM_RETURN_IF_ERROR(checkpoint.Append(record));
         }
       }
     }
@@ -1297,14 +1301,18 @@ void TrustedServer::OnAccept(std::shared_ptr<sim::NetPeer> peer) {
   pending_reaped_ += std::erase_if(
       pending_,
       [](const std::shared_ptr<sim::NetPeer>& old) { return !old->connected(); });
-  sim::NetPeer* raw = peer.get();
-  peer->SetReceiveHandler([this, raw](const support::SharedBytes& data) {
-    OnVehicleMessage(raw, data);
-  });
+  AttachReceiveHandler(*peer);
   pending_.push_back(std::move(peer));
 }
 
-void TrustedServer::OnVehicleMessage(sim::NetPeer* peer,
+void TrustedServer::AttachReceiveHandler(sim::NetPeer& peer) {
+  peer.SetReceiveHandler([this, raw = &peer, link = VehicleRef{}](
+                             const support::SharedBytes& data) mutable {
+    OnVehicleMessage(raw, link, data);
+  });
+}
+
+void TrustedServer::OnVehicleMessage(sim::NetPeer* peer, VehicleRef& link,
                                      const support::SharedBytes& data) {
   // Zero-copy parse: the view aliases `data`, which outlives this handler.
   auto envelope = pirte::EnvelopeView::Parse(data);
@@ -1317,45 +1325,47 @@ void TrustedServer::OnVehicleMessage(sim::NetPeer* peer,
     // Adopt the connection into the VIN's shard registry, reaping any
     // dead predecessors (ECMs redial on a periodic alarm, so long link
     // flaps would otherwise accumulate peers without bound).
-    const std::string vin(envelope->vin);
+    const std::string_view vin = envelope->vin;
     const std::size_t shard_index = ShardIndex(vin);
     Shard& shard = shards_[shard_index];
     // Intern even before the binding exists: the handle anchors the
-    // connection columns and the PeerRef reverse lookup.
+    // connection columns and the connection's link.
     const std::uint32_t vehicle = shard.store.Intern(vin);
     for (std::size_t i = 0; i < pending_.size(); ++i) {
       if (pending_[i].get() != peer) continue;
+      // A reaped connection is never `peer` itself (that one is still
+      // pending), so re-attaching its handler never replaces a running one.
       shard.stats.connections_reaped += shard.store.ReapDeadPeers(
-          vehicle, [this](const sim::NetPeer* old) { peer_vins_.erase(old); });
+          vehicle, [this](sim::NetPeer* old) { AttachReceiveHandler(*old); });
       shard.store.AddPeer(vehicle, std::move(pending_[i]));
       pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
       break;
     }
-    peer_vins_[peer] =
-        PeerRef{static_cast<std::uint32_t>(shard_index), vehicle};
+    link = VehicleRef{static_cast<std::uint32_t>(shard_index), vehicle};
     DACM_LOG_INFO("server") << "vehicle online: " << vin;
     return;
   }
 
-  std::string vin;
-  std::size_t shard_index = 0;
-  std::uint32_t vehicle = kNil;
-  if (!envelope->vin.empty()) {
-    vin = std::string(envelope->vin);
+  // Route to the VIN the connection announced at Hello when the envelope
+  // names it (the common case: a string compare instead of a hash lookup)
+  // or names nothing; any other VIN is looked up.
+  std::string_view vin = envelope->vin;
+  std::size_t shard_index = link.shard;
+  std::uint32_t handle = link.vehicle;
+  if (handle != kNil &&
+      (vin.empty() || vin == shards_[shard_index].store.VinOf(handle))) {
+    vin = shards_[shard_index].store.VinOf(handle);
+  } else if (!vin.empty()) {
     shard_index = ShardIndex(vin);
-    const std::uint32_t v = shards_[shard_index].store.Find(vin);
-    // Helloed-but-unbound VINs have a handle but no vehicle (the historic
-    // accounting counts their plain acks and drops their batches).
-    if (v != kNil && shards_[shard_index].store.bound(v)) vehicle = v;
-  } else if (auto it = peer_vins_.find(peer); it != peer_vins_.end()) {
-    shard_index = it->second.shard;
-    vin = std::string(shards_[shard_index].store.VinOf(it->second.vehicle));
-    if (shards_[shard_index].store.bound(it->second.vehicle)) {
-      vehicle = it->second.vehicle;
-    }
+    handle = shards_[shard_index].store.Find(vin);
   } else {
-    return;  // never said Hello
+    return;  // never said Hello, or reaped since
   }
+  // Helloed-but-unbound VINs have a handle but no vehicle (the historic
+  // accounting counts their plain acks and drops their batches).
+  const std::uint32_t vehicle =
+      handle != kNil && shards_[shard_index].store.bound(handle) ? handle
+                                                                  : kNil;
 
   // Acknowledgements are the server's highest-volume inbound traffic
   // (thousands per campaign).  The simulation thread only routes: it
@@ -1378,9 +1388,10 @@ void TrustedServer::OnVehicleMessage(sim::NetPeer* peer,
     return;
   }
   Shard& shard = shards_[shard_index];
-  // Zero-copy staging: the delivered buffer stays alive by refcount.
+  // Zero-copy staging: the delivered buffer stays alive by refcount, and
+  // with it the VIN view when the envelope supplied it.
   shard.ack_inbox.push_back(
-      StagedAck{next_ack_seq_++, std::move(vin), vehicle, data, blob});
+      StagedAck{next_ack_seq_++, vin, vehicle, data, blob});
   ScheduleAckFlush();
 }
 
@@ -1465,8 +1476,9 @@ void TrustedServer::ApplyStagedAck(Shard& shard, const StagedAck& staged) {
     // Routing only peeked the type byte; a truncated ack surfaces here,
     // deferred like every flush-phase log.
     if (support::Log::Enabled(support::LogLevel::kWarn)) {
-      shard.flush_logs.push_back(DeferredLog{
-          staged.seq, true, "undecodable PirteMessage from " + staged.vin});
+      shard.flush_logs.push_back(
+          DeferredLog{staged.seq, true,
+                      "undecodable PirteMessage from " + std::string(staged.vin)});
     }
     return;
   }
@@ -1496,23 +1508,23 @@ void TrustedServer::ApplyStagedAck(Shard& shard, const StagedAck& staged) {
           ApplyAck(shard, staged.vehicle, plugin, ok, detail, staged.seq);
         });
     if (!status.ok() && support::Log::Enabled(support::LogLevel::kWarn)) {
-      shard.flush_logs.push_back(DeferredLog{
-          staged.seq, true, "undecodable ack batch from " + staged.vin});
+      shard.flush_logs.push_back(
+          DeferredLog{staged.seq, true,
+                      "undecodable ack batch from " + std::string(staged.vin)});
     }
   }
 }
 
-support::Status TrustedServer::PushToVehicle(Shard& shard,
-                                             std::uint32_t vehicle,
-                                             const std::string& vin,
+support::Status TrustedServer::PushToVehicle(Shard& shard, sim::NetPeer* peer,
+                                             std::string_view vin,
                                              const pirte::PirteMessage& message) {
   return PushWireToVehicle(
-      shard, vehicle, vin,
+      shard, peer, vin,
       support::SharedBytes(pirte::SerializeEnveloped(vin, message)));
 }
 
 support::Status TrustedServer::PushWireToVehicle(Shard& shard,
-                                                 std::uint32_t vehicle,
+                                                 sim::NetPeer* peer,
                                                  std::string_view vin,
                                                  const support::SharedBytes& wire) {
   if (wire.empty()) {
@@ -1522,8 +1534,7 @@ support::Status TrustedServer::PushWireToVehicle(Shard& shard,
     return support::Internal("refusing to push empty wire to " +
                              std::string(vin));
   }
-  if (sim::NetPeer* peer = shard.store.FirstConnectedPeer(vehicle);
-      peer != nullptr) {
+  if (peer != nullptr) {
     DACM_RETURN_IF_ERROR(peer->Send(wire));
     ++shard.stats.packages_pushed;
     return support::OkStatus();
@@ -1544,7 +1555,7 @@ void TrustedServer::ApplyBatchNack(Shard& shard, std::uint32_t vehicle,
     if (row.state == InstallState::kPending) {
       // Fail the pending row outright — otherwise it would wait forever
       // for per-plug-in acks that will never come, blocking retries.
-      WriteStatus(store.VinOf(vehicle), row, Want::kInstall,
+      WriteStatus(shard, store.VinOf(vehicle), row, Want::kInstall,
                   DbState::kErrorState);
       row.state = InstallState::kFailed;
       row.payload = nullptr;
@@ -1565,7 +1576,7 @@ void TrustedServer::ApplyBatchNack(Shard& shard, std::uint32_t vehicle,
       // A rejected kUninstallBatch: re-arm the row so the rollback
       // campaign's next wave pushes it again.  (kDeinstall, kInstalled)
       // recovers back into an installed row the next wave retries.
-      WriteStatus(store.VinOf(vehicle), row, Want::kDeinstall,
+      WriteStatus(shard, store.VinOf(vehicle), row, Want::kDeinstall,
                   DbState::kInstalled);
       row.state = InstallState::kInstalled;
       if (support::Log::Enabled(support::LogLevel::kWarn)) {
@@ -1606,12 +1617,12 @@ void TrustedServer::ApplyAck(Shard& shard, std::uint32_t vehicle,
       // Re-evaluate the row.
       if (row.state == InstallState::kPending) {
         if (RowAnyFailed(row)) {
-          WriteStatus(store.VinOf(vehicle), row, Want::kInstall,
+          WriteStatus(shard, store.VinOf(vehicle), row, Want::kInstall,
                       DbState::kErrorState);
           row.state = InstallState::kFailed;
           row.payload = nullptr;  // no more retry re-pushes of this batch
         } else if (RowAllAcked(row)) {
-          WriteStatus(store.VinOf(vehicle), row, Want::kInstall,
+          WriteStatus(shard, store.VinOf(vehicle), row, Want::kInstall,
                       DbState::kInstalled);
           row.state = InstallState::kInstalled;
           // Converged: release the payload refcount.  When the cohort's
@@ -1643,7 +1654,7 @@ void TrustedServer::ApplyAck(Shard& shard, std::uint32_t vehicle,
           // vehicle may still hold — a rollback campaign's next wave
           // retries, and a retry loop that never succeeds surfaces as
           // kExhausted rather than a false convergence.
-          WriteStatus(store.VinOf(vehicle), row, Want::kDeinstall,
+          WriteStatus(shard, store.VinOf(vehicle), row, Want::kDeinstall,
                       DbState::kInstalled);
           row.state = InstallState::kInstalled;
           if (support::Log::Enabled(support::LogLevel::kWarn)) {
@@ -1657,8 +1668,9 @@ void TrustedServer::ApplyAck(Shard& shard, std::uint32_t vehicle,
           // The freed unique ids disappear with the row (the bitmap is
           // derived); the tombstone erases the pair from the status DB
           // on replay.
-          WriteStatusRemoved(store.VinOf(vehicle), row.manifest->app_name,
-                             row.manifest->version, Want::kDeinstall);
+          WriteStatusRemoved(shard, store.VinOf(vehicle),
+                             row.manifest->app_name, row.manifest->version,
+                             Want::kDeinstall);
           store.RemoveRow(vehicle, r);
         }
       }

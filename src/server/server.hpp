@@ -108,6 +108,33 @@ struct WaveOutcome {
   support::Status status;
 };
 
+/// A VIN resolved to the shard and FleetStore handle holding it.  Handles
+/// are append-only and never invalidated, so a resolved ref stays good for
+/// the server's lifetime.  vehicle == FleetStore::kNil: the VIN was
+/// unknown when resolved (shard is still the VIN's own); resolve again to
+/// see a later Hello or binding.  A ref says nothing about binding —
+/// consumers check that on every use.
+struct VehicleRef {
+  std::uint32_t shard = 0;
+  std::uint32_t vehicle = FleetStore::kNil;
+};
+
+/// One VIN of a campaign wave, resolved by the caller.
+struct WaveTarget {
+  std::string_view vin;
+  VehicleRef ref;
+};
+
+/// What a campaign evaluation sees of one (vehicle, app) row.
+enum class RowProbe : std::uint8_t {
+  kNoVehicle,  // unknown or unbound VIN
+  kNoRow,      // bound vehicle without the app
+  kPending,
+  kInstalled,
+  kFailed,
+  kUninstalling,
+};
+
 struct ServerOptions {
   /// Vehicle shards == deploy workers.  1 keeps the pipeline fully
   /// synchronous on the calling thread (no pool, no locking overhead on
@@ -245,16 +272,25 @@ class TrustedServer {
 
   // --- campaign-engine entry points (see server/campaign.hpp) -----------------
 
-  /// One orchestrated campaign wave: per VIN, performs whatever the kind
-  /// requires right now — a fresh batched deploy, a re-push of the
+  /// Resolves `vin` to its shard and handle (one hash of the VIN; the
+  /// campaign engine pays it once per row, not once per tick).
+  VehicleRef ResolveVehicle(std::string_view vin) const;
+
+  /// Campaign-evaluation probe of `app_name` on a resolved vehicle.
+  /// Builds no Status and no string — AppState is for one-off queries.
+  RowProbe ProbeRow(VehicleRef ref, std::string_view app_name) const;
+
+  /// One orchestrated campaign wave: per target, performs whatever the
+  /// kind requires right now — a fresh batched deploy, a re-push of the
   /// recorded batch for a stale kPending row, a clear-and-redeploy of a
   /// nacked row, or a kUninstallBatch rollback push — sharded over the
-  /// worker pool exactly like DeployCampaign.  Returns outcomes in `vins`
-  /// order.
+  /// worker pool exactly like DeployCampaign.  Targets must come from
+  /// ResolveVehicle (an unresolved one is rejected as an unknown VIN).
+  /// Returns outcomes in `targets` order.
   std::vector<WaveOutcome> CampaignWavePush(UserId user,
                                             const std::string& app_name,
                                             CampaignKind kind,
-                                            std::span<const std::string> vins);
+                                            std::span<const WaveTarget> targets);
 
   /// Applies every staged acknowledgement now (simulation thread only).
   /// Inbound kAck/kAckBatch messages are staged into per-shard inboxes and
@@ -300,7 +336,8 @@ class TrustedServer {
   /// copy and no re-parse per ack.
   struct StagedAck {
     std::uint64_t seq = 0;    // global arrival order (log merge key)
-    std::string vin;
+    /// Aliases the envelope buffer below or the shard's VIN arena.
+    std::string_view vin;
     /// Handle resolved at staging time (the simulation thread owns every
     /// shard between flush barriers), so the flush worker skips the
     /// per-ack hash lookup.  kNil for unknown/unbound VINs.
@@ -332,12 +369,11 @@ class TrustedServer {
     /// concurrently (the pool barrier separates the two phases).
     std::vector<StagedAck> ack_inbox;
     std::vector<DeferredLog> flush_logs;
-  };
-
-  /// Where an adopted connection's acks route (no VIN in the envelope).
-  struct PeerRef {
-    std::uint32_t shard = 0;
-    std::uint32_t vehicle = FleetStore::kNil;
+    /// Status-record scratch: every paragraph this shard writes is
+    /// encoded here, so steady-state WAL appends allocate nothing.  Per
+    /// shard, not thread_local: shard workers write concurrently, and a
+    /// shard has one owner at a time.
+    support::Bytes wal_buffer;
   };
 
   std::size_t ShardIndex(std::string_view vin) const;
@@ -366,15 +402,18 @@ class TrustedServer {
     return model_names_[model_id];
   }
 
-  /// The full per-vehicle deploy pipeline.  Caller must hold the catalog
+  /// The full per-vehicle deploy pipeline on a resolved handle (kNil or
+  /// unbound: rejected as an unknown VIN).  Caller must hold the catalog
   /// read lock and own `shard`.  `batched` selects one kInstallBatch push
   /// (campaigns) vs one push per plug-in (interactive Deploy).
-  support::Status DeployOnShard(Shard& shard, UserId user, const std::string& vin,
+  support::Status DeployOnShard(Shard& shard, UserId user,
+                                std::uint32_t vehicle, std::string_view vin,
                                 const App& app, bool batched);
 
-  /// One VIN of a campaign wave.  Caller must hold the catalog read lock
-  /// and own `shard`; `app` is null for rollback waves.
-  WaveOutcome WavePushOnShard(Shard& shard, UserId user, const std::string& vin,
+  /// One target of a campaign wave.  Caller must hold the catalog read
+  /// lock and own `shard`; `app` is null for rollback waves.
+  WaveOutcome WavePushOnShard(Shard& shard, UserId user,
+                              const WaveTarget& target,
                               const std::string& app_name, const App* app,
                               CampaignKind kind);
   /// Re-pushes the install batch of a stale kPending row (previous
@@ -398,16 +437,25 @@ class TrustedServer {
 
   // Pusher internals (simulation thread only).
   void OnAccept(std::shared_ptr<sim::NetPeer> peer);
-  void OnVehicleMessage(sim::NetPeer* peer, const support::SharedBytes& data);
+  /// Installs `peer`'s receive handler.  The handler owns the
+  /// connection's link — the VehicleRef its Hello announced (kNil until
+  /// then) — so the link lives and dies with the connection.
+  /// Re-attaching is how a reaped connection forgets its Hello: messages
+  /// still in flight on it must name their VIN to be routed.
+  void AttachReceiveHandler(sim::NetPeer& peer);
+  void OnVehicleMessage(sim::NetPeer* peer, VehicleRef& link,
+                        const support::SharedBytes& data);
   /// Schedules the ack-inbox flush event at Now() (once per batch of
   /// arrivals).
   void ScheduleAckFlush();
-  support::Status PushToVehicle(Shard& shard, std::uint32_t vehicle,
-                                const std::string& vin,
+  /// Pushes over `peer`, the vehicle's first live connection
+  /// (FleetStore::FirstConnectedPeer); null means offline (kUnavailable).
+  support::Status PushToVehicle(Shard& shard, sim::NetPeer* peer,
+                                std::string_view vin,
                                 const pirte::PirteMessage& message);
   /// Pushes an already-serialized envelope (cached campaign batches are
   /// pushed this way: one refcount bump, no serialization).
-  support::Status PushWireToVehicle(Shard& shard, std::uint32_t vehicle,
+  support::Status PushWireToVehicle(Shard& shard, sim::NetPeer* peer,
                                     std::string_view vin,
                                     const support::SharedBytes& wire);
 
@@ -426,10 +474,17 @@ class TrustedServer {
   // Sink errors degrade durability, never availability: bounded retries,
   // then a sticky degraded flag and a warn — the in-memory transition
   // proceeds either way.
-  void WriteStatus(std::string_view vin, const FleetStore::InstallRow& row,
-                   Want want, DbState state);
-  void WriteStatusRemoved(std::string_view vin, const std::string& app_name,
-                          const std::string& version, Want want);
+  // Both encode into `shard`'s wal_buffer (StatusDb's view encoder).
+  void WriteStatus(Shard& shard, std::string_view vin,
+                   const FleetStore::InstallRow& row, Want want,
+                   DbState state);
+  /// The tombstone: erases (vin, app) on replay.
+  void WriteStatusRemoved(Shard& shard, std::string_view vin,
+                          std::string_view app_name, std::string_view version,
+                          Want want);
+  /// Appends the record in `shard`'s wal_buffer (AppendDurable) and
+  /// traces it on the shard's lane.
+  void AppendShardRecord(Shard& shard, std::string_view vin);
   /// Appends one pre-encoded record with the bounded retry-then-degrade
   /// policy above.  Thread-safe (shard workers write status concurrently;
   /// the writer serializes internally).
@@ -473,8 +528,6 @@ class TrustedServer {
   std::vector<Shard> shards_;
   /// Accepted connections that have not announced a VIN yet.
   std::vector<std::shared_ptr<sim::NetPeer>> pending_;
-  /// Reverse lookup for acks whose envelope omits the VIN.
-  std::unordered_map<const sim::NetPeer*, PeerRef> peer_vins_;
   /// Handshake reaping happens before a VIN (and so a shard) is known.
   std::uint64_t pending_reaped_ = 0;
   std::uint64_t next_ack_seq_ = 0;

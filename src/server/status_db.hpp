@@ -63,6 +63,19 @@ struct StatusParagraph {
   std::vector<PluginIds> plugins;
 };
 
+/// The scalar half of a paragraph, as views: what WriteStatus knows about
+/// a row without materializing a StatusParagraph.  The plug-in half comes
+/// from the row's manifest (or is empty, for a tombstone).
+struct ParagraphHead {
+  std::string_view vin;
+  std::string_view app;
+  std::string_view version;
+  Want want = Want::kInstall;
+  DbState state = DbState::kNotInstalled;
+};
+
+struct BatchManifest;  // server/package_cache.hpp
+
 /// Everything a status-log replay folds out: the catalog (from
 /// interleaved catalog records and/or a checkpoint's kImage), the live
 /// paragraphs, how much of the log was durable, and the framed size of a
@@ -107,6 +120,17 @@ class StatusDb {
   /// The paragraph wire encoding Append() frames — exposed so the server
   /// can encode once and retry the framed append on sink failure.
   static support::Bytes EncodeParagraph(const StatusParagraph& paragraph);
+  /// The same encoding from views: `head` plus the plug-ins, ECUs and
+  /// unique ids of `manifest` (none when null — a tombstone).  Replaces
+  /// `out`'s contents and keeps its capacity, so a caller that owns one
+  /// buffer per writer appends without touching the heap.  Byte-identical
+  /// to EncodeParagraph of the equivalent StatusParagraph.
+  static void EncodeParagraph(const ParagraphHead& head,
+                              const BatchManifest* manifest,
+                              support::Bytes& out);
+  /// Inverse of EncodeParagraph (kCorrupted on a malformed payload).
+  static support::Result<StatusParagraph> DecodeParagraph(
+      std::span<const std::uint8_t> payload);
 
   /// Frame bytes appended since construction / ResetByteCount — the
   /// compaction watermark's input.

@@ -18,10 +18,12 @@
 //      targets the executing lane at a timestamp <= b; *everything else*
 //      — cross-lane, or in-lane beyond the window — is buffered as a
 //      CrossRequest stamped with the parent event's timestamp.
-//   4. Merge barrier: buffered requests are concatenated in lane order
-//      and stable-sorted by parent timestamp, i.e. exactly the order in
-//      which a serial merged-order run would have issued them, then
-//      pushed (the target queue assigns the lane-local seq).  Lookahead
+//   4. Merge barrier: each lane's buffer is already nondecreasing in
+//      parent timestamp, so a k-way merge over the lanes (lower parent
+//      timestamp first, ties to the lower lane) yields exactly the order
+//      in which a serial merged-order run would have issued them; each
+//      request is pushed as it is merged (the target queue assigns the
+//      lane-local seq).  Lookahead
 //      guarantees every committed timestamp is > b, so a committed
 //      request can never tie on (at) with a window-direct push — which
 //      is why per-lane seq assignment order only has to match the

@@ -245,22 +245,77 @@ TEST(CampaignEngineTest, FinishedCampaignsCanBeForgottenRunningOnesCannot) {
   EXPECT_TRUE(rig.engine.Finished(*next));
 }
 
+/// Opens a raw connection that says Hello as `vin` — so the server holds
+/// a handle for it — without ever binding the VIN to a user.
+std::shared_ptr<sim::NetPeer> HelloWithoutBinding(ScriptedCampaign& rig,
+                                                  const std::string& vin) {
+  auto peer = rig.network.Connect("srv:443");
+  EXPECT_TRUE(peer.ok());
+  pirte::Envelope hello;
+  hello.kind = pirte::Envelope::Kind::kHello;
+  hello.vin = vin;
+  EXPECT_TRUE((*peer)->Send(hello.Serialize()).ok());
+  rig.simulator.Run();
+  EXPECT_TRUE(rig.server.VehicleOnline(vin));
+  EXPECT_FALSE(rig.server.HasVehicle(vin));
+  return *peer;
+}
+
 TEST(CampaignEngineTest, RollbackOverUnknownVinsFailsInsteadOfConverging) {
   ScriptedCampaign rig(/*vehicles=*/2, /*shards=*/1);
   rig.UploadApp("maps");
-  std::vector<std::string> vins = {rig.fleet->vins()[0], "VIN-GHOST"};
+  // VIN-GHOST was never seen; VIN-UNBOUND said Hello (the server has a
+  // handle for it, which the engine caches) but was never bound.
+  const auto unbound = HelloWithoutBinding(rig, "VIN-UNBOUND");
+  std::vector<std::string> vins = {rig.fleet->vins()[0], "VIN-GHOST",
+                                   "VIN-UNBOUND"};
+  auto expect_unknown_rows_failed = [&](server::CampaignId id) {
+    for (const char* vin : {"VIN-GHOST", "VIN-UNBOUND"}) {
+      const auto* row = rig.engine.FindRow(id, vin);
+      ASSERT_NE(row, nullptr) << vin;
+      EXPECT_EQ(row->state, CampaignRowState::kFailed) << vin;
+      EXPECT_EQ(row->error, support::ErrorCode::kNotFound) << vin;
+      EXPECT_EQ(row->attempts, 0u) << vin;
+    }
+  };
+
   auto rollback = rig.engine.StartRollback(rig.user, "maps", vins, FastPolicy());
   ASSERT_TRUE(rollback.ok());
   rig.simulator.Run();
-
   auto snapshot = *rig.engine.Snapshot(*rollback);
   EXPECT_EQ(snapshot.status, CampaignStatus::kExhausted);
+  EXPECT_EQ(snapshot.waves_pushed, 1u);
+  EXPECT_EQ(snapshot.total_pushes, 0u);
   EXPECT_EQ(snapshot.done, 1u);    // the known VIN never had the app
-  EXPECT_EQ(snapshot.failed, 1u);  // the ghost must not read as converged
-  const auto* ghost = rig.engine.FindRow(*rollback, "VIN-GHOST");
-  ASSERT_NE(ghost, nullptr);
-  EXPECT_EQ(ghost->state, CampaignRowState::kFailed);
-  EXPECT_EQ(ghost->error, support::ErrorCode::kNotFound);
+  EXPECT_EQ(snapshot.failed, 2u);  // neither unknown VIN reads as converged
+  expect_unknown_rows_failed(*rollback);
+
+  // A deploy over the same fleet: only the bound VIN installs.
+  auto deploy = rig.engine.StartDeploy(rig.user, "maps", vins, FastPolicy());
+  ASSERT_TRUE(deploy.ok());
+  rig.simulator.Run();
+  snapshot = *rig.engine.Snapshot(*deploy);
+  EXPECT_EQ(snapshot.status, CampaignStatus::kExhausted);
+  EXPECT_EQ(snapshot.waves_pushed, 1u);
+  EXPECT_EQ(snapshot.total_pushes, 1u);
+  EXPECT_EQ(snapshot.done, 1u);
+  EXPECT_EQ(snapshot.failed, 2u);
+  expect_unknown_rows_failed(*deploy);
+  EXPECT_EQ(*rig.server.AppState(vins[0], "maps"), InstallState::kInstalled);
+
+  // And the rollback of that deploy: the bound VIN converges by a real
+  // uninstall, the unknown ones still fail.
+  rollback = rig.engine.StartRollback(rig.user, "maps", vins, FastPolicy());
+  ASSERT_TRUE(rollback.ok());
+  rig.simulator.Run();
+  snapshot = *rig.engine.Snapshot(*rollback);
+  EXPECT_EQ(snapshot.status, CampaignStatus::kExhausted);
+  EXPECT_EQ(snapshot.total_pushes, 1u);
+  EXPECT_EQ(snapshot.done, 1u);
+  EXPECT_EQ(snapshot.failed, 2u);
+  expect_unknown_rows_failed(*rollback);
+  EXPECT_FALSE(rig.server.AppState(vins[0], "maps").ok());
+  EXPECT_FALSE(rig.server.HasVehicle("VIN-UNBOUND"));
 }
 
 // --- recovery-edge-case regressions ------------------------------------------

@@ -34,12 +34,15 @@
 #include "server/campaign.hpp"
 #include "server/catalog.hpp"
 #include "server/journal.hpp"
+#include "server/package_cache.hpp"
 #include "server/status_db.hpp"
 #include "sim/fault.hpp"
 #include "sim/network.hpp"
+#include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "support/bytes.hpp"
 #include "support/storage.hpp"
+#include "test_util.hpp"
 
 namespace dacm {
 namespace {
@@ -454,6 +457,106 @@ TEST(StatusDbTest, EmptyLogReplaysToAnEmptyImage) {
   EXPECT_TRUE(replayed->catalog.empty());
   EXPECT_TRUE(replayed->paragraphs.empty());
   EXPECT_FALSE(replayed->stats.truncated);
+}
+
+std::string RandomText(sim::Rng& rng, std::size_t min_len, std::size_t max_len) {
+  std::string text(rng.NextInRange(min_len, max_len), '\0');
+  for (char& c : text) c = static_cast<char>(rng.NextBelow(256));
+  return text;
+}
+
+void ExpectSameParagraph(const StatusParagraph& a, const StatusParagraph& b) {
+  EXPECT_EQ(a.vin, b.vin);
+  EXPECT_EQ(a.app, b.app);
+  EXPECT_EQ(a.version, b.version);
+  EXPECT_EQ(a.want, b.want);
+  EXPECT_EQ(a.state, b.state);
+  ASSERT_EQ(a.plugins.size(), b.plugins.size());
+  for (std::size_t i = 0; i < a.plugins.size(); ++i) {
+    EXPECT_EQ(a.plugins[i].plugin, b.plugins[i].plugin) << i;
+    EXPECT_EQ(a.plugins[i].ecu_id, b.plugins[i].ecu_id) << i;
+    EXPECT_EQ(a.plugins[i].unique_ids, b.plugins[i].unique_ids) << i;
+  }
+}
+
+// Property: the view encoder the server writes through (a row's VIN plus
+// its manifest) produces exactly the bytes of EncodeParagraph on the
+// equivalent StatusParagraph, and those bytes decode back to it — for
+// random manifests (0-64 plug-ins, 0-255 ids each), VINs on both sides
+// of the 15-char small-string boundary, and every Want x DbState.  One
+// scratch buffer serves every draw, so a shrinking record must not keep
+// stale bytes from a longer one.  Set DACM_TEST_SEED to replay.
+TEST(StatusDbTest, ViewEncoderMatchesParagraphEncodingProperty) {
+  DACM_PROPERTY_RNG(rng);
+  constexpr Want kWants[] = {Want::kInstall, Want::kDeinstall};
+  constexpr DbState kStates[] = {DbState::kNotInstalled, DbState::kHalfInstalled,
+                                 DbState::kInstalled, DbState::kHalfRemoved,
+                                 DbState::kErrorState};
+  support::Bytes scratch;
+  for (int draw = 0; draw < 60; ++draw) {
+    server::BatchManifest manifest;
+    manifest.app_name = RandomText(rng, 0, 24);
+    manifest.version = RandomText(rng, 0, 12);
+    const std::size_t plugin_count = rng.NextInRange(0, 64);
+    for (std::size_t p = 0; p < plugin_count; ++p) {
+      server::BatchManifest::Plugin plugin;
+      plugin.name = RandomText(rng, 0, 40);
+      plugin.ecu_id = static_cast<std::uint32_t>(rng.NextU64());
+      const std::size_t id_count = rng.NextInRange(0, 255);
+      for (std::size_t i = 0; i < id_count; ++i) {
+        pirte::PicEntry entry;
+        entry.unique_id = static_cast<std::uint8_t>(rng.NextBelow(256));
+        plugin.pic.entries.push_back(entry);
+      }
+      manifest.plugins.push_back(std::move(plugin));
+    }
+    const std::string vin =
+        draw % 2 == 0 ? RandomText(rng, 0, 15) : RandomText(rng, 16, 40);
+
+    StatusParagraph paragraph;
+    paragraph.vin = vin;
+    paragraph.app = manifest.app_name;
+    paragraph.version = manifest.version;
+    for (const server::BatchManifest::Plugin& plugin : manifest.plugins) {
+      StatusParagraph::PluginIds ids;
+      ids.plugin = plugin.name;
+      ids.ecu_id = plugin.ecu_id;
+      for (const pirte::PicEntry& entry : plugin.pic.entries) {
+        ids.unique_ids.push_back(entry.unique_id);
+      }
+      paragraph.plugins.push_back(std::move(ids));
+    }
+
+    for (const Want want : kWants) {
+      for (const DbState state : kStates) {
+        SCOPED_TRACE(::testing::Message()
+                     << "draw " << draw << " want " << server::WantName(want)
+                     << " state " << server::DbStateName(state));
+        paragraph.want = want;
+        paragraph.state = state;
+        StatusDb::EncodeParagraph(
+            server::ParagraphHead{vin, manifest.app_name, manifest.version,
+                                  want, state},
+            &manifest, scratch);
+        const support::Bytes expected = StatusDb::EncodeParagraph(paragraph);
+        ASSERT_EQ(scratch, expected);
+        auto decoded = StatusDb::DecodeParagraph(scratch);
+        ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+        ExpectSameParagraph(*decoded, paragraph);
+      }
+    }
+
+    // The tombstone form (no manifest) is the plug-in-less paragraph.
+    StatusParagraph tombstone = paragraph;
+    tombstone.plugins.clear();
+    tombstone.want = Want::kDeinstall;
+    tombstone.state = DbState::kNotInstalled;
+    StatusDb::EncodeParagraph(
+        server::ParagraphHead{vin, manifest.app_name, manifest.version,
+                              Want::kDeinstall, DbState::kNotInstalled},
+        nullptr, scratch);
+    ASSERT_EQ(scratch, StatusDb::EncodeParagraph(tombstone));
+  }
 }
 
 // --- campaign journal --------------------------------------------------------------

@@ -354,6 +354,76 @@ TEST_F(ServerFixture, RestoreOnlyTouchesTheReplacedEcu) {
   EXPECT_TRUE(ecm->pushed.empty());
 }
 
+// --- ack routing -----------------------------------------------------------------------------
+
+/// Sends a kAck for `plugin` over `peer`, naming `vin` in the envelope
+/// ("" names nothing: the server routes by what the connection's Hello
+/// said).  Does not run the simulator.
+void SendAck(sim::NetPeer& peer, const std::string& vin,
+             const std::string& plugin) {
+  pirte::PirteMessage ack;
+  ack.type = pirte::MessageType::kAck;
+  ack.plugin_name = plugin;
+  ack.ok = true;
+  pirte::Envelope envelope;
+  envelope.kind = pirte::Envelope::Kind::kPirteMessage;
+  envelope.vin = vin;
+  envelope.message = ack.Serialize();
+  EXPECT_TRUE(peer.Send(envelope.Serialize()).ok());
+}
+
+TEST_F(ServerFixture, AckRoutesByTheEnvelopeVinNotTheConnection) {
+  ASSERT_TRUE(server.BindVehicle(alice, "VIN-2", "rpi-testbed").ok());
+  FakeEcm other(simulator, network, server, "VIN-2");
+  ASSERT_TRUE(server.UploadApp(EchoApp("app")).ok());
+  ASSERT_TRUE(server.Deploy(alice, "VIN-1", "app").ok());
+  ASSERT_TRUE(server.Deploy(alice, "VIN-2", "app").ok());
+  Settle();
+  ASSERT_EQ(other.pushed.size(), 1u);
+  const std::string plugin = other.pushed[0].plugin_name;
+
+  // VIN-2's ack arrives over VIN-1's connection: it is VIN-2's.
+  SendAck(*ecm->peer, "VIN-2", plugin);
+  Settle();
+  EXPECT_EQ(*server.AppState("VIN-2", "app"), InstallState::kInstalled);
+  EXPECT_EQ(*server.AppState("VIN-1", "app"), InstallState::kPending);
+
+  // An ack naming no VIN belongs to whoever the connection said it was.
+  SendAck(*ecm->peer, "", plugin);
+  Settle();
+  EXPECT_EQ(*server.AppState("VIN-1", "app"), InstallState::kInstalled);
+  EXPECT_EQ(server.stats().acks_received, 2u);
+}
+
+TEST_F(ServerFixture, EmptyVinAckOnAReapedConnectionIsDropped) {
+  ASSERT_TRUE(server.UploadApp(EchoApp("app")).ok());
+  ASSERT_TRUE(server.Deploy(alice, "VIN-1", "app").ok());
+  Settle();
+  ASSERT_EQ(ecm->pushed.size(), 1u);
+  const std::string plugin = ecm->pushed[0].plugin_name;
+  const std::uint64_t reaped_before = server.stats().connections_reaped;
+
+  // The vehicle redials: its new Hello lands first and reaps the old,
+  // dead connection, whose VIN-less ack is still in flight behind it.
+  auto redial = network.Connect(server.address());
+  ASSERT_TRUE(redial.ok());
+  pirte::Envelope hello;
+  hello.kind = pirte::Envelope::Kind::kHello;
+  hello.vin = "VIN-1";
+  ASSERT_TRUE((*redial)->Send(hello.Serialize()).ok());
+  SendAck(*ecm->peer, "", plugin);
+  ecm->peer->Close();
+  Settle();
+  EXPECT_EQ(server.stats().connections_reaped, reaped_before + 1);
+  EXPECT_EQ(server.stats().acks_received, 0u);  // dropped, not counted
+  EXPECT_EQ(*server.AppState("VIN-1", "app"), InstallState::kPending);
+
+  // The live connection still routes, VIN-less acks included.
+  SendAck(**redial, "", plugin);
+  Settle();
+  EXPECT_EQ(*server.AppState("VIN-1", "app"), InstallState::kInstalled);
+}
+
 // --- campaigns -------------------------------------------------------------------------------
 
 /// Fixture for fleet campaigns: a sharded server and a scripted fleet.
@@ -636,8 +706,12 @@ TEST_F(CampaignFixture, RollbackReusesTheCachedUninstallBatch) {
   simulator.Run();
   // The rollback wave pushes the manifest's pre-built kUninstallBatch —
   // no per-vehicle serialization, same refcounted wire for every VIN.
-  auto outcomes = server.CampaignWavePush(alice, "app", CampaignKind::kRollback,
-                                          fleet->vins());
+  std::vector<WaveTarget> targets;
+  for (const std::string& vin : fleet->vins()) {
+    targets.push_back(WaveTarget{vin, server.ResolveVehicle(vin)});
+  }
+  auto outcomes =
+      server.CampaignWavePush(alice, "app", CampaignKind::kRollback, targets);
   for (const WaveOutcome& outcome : outcomes) {
     EXPECT_EQ(outcome.action, WaveOutcome::Action::kPushed)
         << outcome.status.ToString();
