@@ -6,9 +6,8 @@
 //
 //   * BM_FleetCampaign — the single-shot DeployCampaign pipeline
 //     (per-vehicle compatibility checks, PIC/PLC/ECC generation, package
-//     assembly, batched pushes over the shard worker pool) plus the
-//     simulated delivery and acknowledgement round, against shard count x
-//     fleet size.  1 shard is the fully synchronous baseline.
+//     assembly, batched pushes) plus the simulated delivery and
+//     acknowledgement round, against shard count x fleet size.
 //   * BM_FleetDurableCampaign — the same rollout with the write-ahead
 //     status DB and campaign journal enabled; bench_compare.py holds its
 //     deploys/s against the memory-only campaign baseline.
@@ -33,18 +32,15 @@
 //     100k-VIN default under an RSS budget, and --mega=4,10000000,24
 //     drives the ten-million-VIN configuration.
 //
-// CLI overrides (satellite of the campaign-engine PR; --lanes= of the
-// parallel-lane PR):
+// CLI overrides:
 //   --shards=1,4      comma list replacing the shard axis of every family
 //   --fleet=1000      comma list replacing the fleet-size axis
-//   --lanes=1,4       comma list replacing the simulator-lane axis of
-//                     BM_FleetCampaign (conservative-window DES lanes)
 //   --mega=1,100000,24  shards,fleet,models for BM_FleetMegaCampaign
 // Without overrides the default matrix below runs (kept small enough for
 // the CI bench-smoke job).
 //
-// NOTE: real speedup needs real cores; on a single-CPU runner the >1-shard
-// and >1-lane numbers measure partitioning overhead, not parallelism.
+// Shards are a data partition on one thread, so the shard axis measures
+// partitioning cost, not parallelism.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -71,8 +67,7 @@ namespace {
 // Work shape per vehicle: 4 plug-ins x 8 ports with ~12 KiB binaries, so
 // a campaign push carries ~50 KiB of generated context + code per vehicle
 // — enough server-side work (context gen, package assembly, CRC, batch
-// serialization) that the single-threaded simulation/ack round is < 10% of
-// a 1-shard campaign, leaving the worker pool real headroom to scale.
+// serialization) that the simulation/ack round is < 10% of a campaign.
 constexpr std::uint32_t kPlugins = 4;
 constexpr std::uint32_t kPorts = 8;
 constexpr std::uint32_t kBinaryPadding = 12288;
@@ -106,16 +101,9 @@ struct FleetBench {
 
   FleetBench(std::size_t shards, std::size_t fleet_size,
              support::RecordSink* status_sink = nullptr,
-             std::size_t model_count = 1, std::size_t sync_every = 0,
-             std::size_t lanes = 1)
+             std::size_t model_count = 1, std::size_t sync_every = 0)
       : server(network, "srv:443",
                server::ServerOptions{shards, status_sink, sync_every}) {
-    if (lanes > 1) {
-      sim::LaneOptions lane_options;
-      lane_options.lanes = lanes;
-      // Window lookahead comes from the 1 us network-latency clamp.
-      simulator.ConfigureLanes(lane_options);
-    }
     (void)server.Start();
     fes::ScriptedFleetOptions options;
     options.vehicle_count = fleet_size;
@@ -186,14 +174,12 @@ void ReportLatencies(benchmark::State& state, const support::Histogram& ns) {
   ReportQuantiles(state, "vehicle", "us", ns, 1.0 / 1000.0);
 }
 
-// Campaign deploys/s: batched pushes over the worker pool, including the
-// simulated delivery + acknowledgement round.
+// Campaign deploys/s: batched pushes, including the simulated delivery +
+// acknowledgement round.
 void BM_FleetCampaign(benchmark::State& state) {
   const auto shards = static_cast<std::size_t>(state.range(0));
   const auto fleet_size = static_cast<std::size_t>(state.range(1));
-  const auto lanes = static_cast<std::size_t>(state.range(2));
-  FleetBench bench(shards, fleet_size, nullptr, /*model_count=*/1,
-                   /*sync_every=*/0, lanes);
+  FleetBench bench(shards, fleet_size);
   support::Histogram vehicle_ns;
   // Registry histograms fed by the instrumented pipeline; reset so the
   // quantiles cover exactly this benchmark's iterations.
@@ -202,18 +188,12 @@ void BM_FleetCampaign(benchmark::State& state) {
       metrics.GetHistogram("dacm_ack_flush_nanos");
   support::Histogram& roundtrip_us =
       metrics.GetHistogram("dacm_deploy_roundtrip_us");
-  support::Histogram& barrier_stall_nanos =
-      metrics.GetHistogram("dacm_sim_barrier_stall_nanos");
   ack_flush_nanos.Reset();
   roundtrip_us.Reset();
-  barrier_stall_nanos.Reset();
-  // Amdahl bookkeeping.  The campaign phase fans out over the shard pool;
-  // the simulation phase splits into the truly serial part (event-loop
-  // deliveries, vehicle handlers, ack routing on the simulation thread)
-  // and the ack-inbox flush, which runs one-worker-per-shard since PR 4
-  // and therefore scales with the pool.  serial_sim_fraction reports only
-  // the former — the term that caps shard scaling and that PR 5's
-  // event-kernel rebuild exists to push down.
+  // Phase bookkeeping: the campaign phase (DeployCampaign), and the
+  // simulation phase split into event-loop work (deliveries, vehicle
+  // handlers, ack routing) — serial_sim_fraction — and the ack-inbox
+  // flush — ack_flush_fraction.
   std::uint64_t campaign_ns = 0, sim_ns = 0, flush_ns = 0;
   for (auto _ : state) {
     const std::uint64_t flush_before = bench.server.ack_flush_nanos();
@@ -246,7 +226,6 @@ void BM_FleetCampaign(benchmark::State& state) {
                           static_cast<std::int64_t>(fleet_size));
   state.counters["shards"] = static_cast<double>(shards);
   state.counters["fleet"] = static_cast<double>(fleet_size);
-  state.counters["lanes"] = static_cast<double>(lanes);
   if (campaign_ns + sim_ns > 0) {
     const auto total = static_cast<double>(campaign_ns + sim_ns);
     const std::uint64_t serial = sim_ns > flush_ns ? sim_ns - flush_ns : 0;
@@ -256,15 +235,10 @@ void BM_FleetCampaign(benchmark::State& state) {
     state.counters["sim_phase_fraction"] = static_cast<double>(sim_ns) / total;
   }
   ReportLatencies(state, vehicle_ns);
-  // Per-flush wall time of the parallel ack-inbox drain, and the
-  // push -> converged-ack round trip in sim time.
+  // Per-flush wall time of the ack-inbox flush, and the push ->
+  // converged-ack round trip in sim time.
   ReportQuantiles(state, "ack_flush", "us", ack_flush_nanos, 1.0 / 1000.0);
   ReportQuantiles(state, "roundtrip", "ms", roundtrip_us, 1.0 / 1000.0);
-  // Per-(lane, window) wall time a finished lane waits at the merge
-  // barrier for its siblings — the lane engine's load-imbalance cost
-  // (empty at lanes=1, which runs no barriers).
-  ReportQuantiles(state, "barrier_stall", "us", barrier_stall_nanos,
-                  1.0 / 1000.0);
 }
 
 // The same rollout with the crash-consistent persistence layer enabled:
@@ -435,7 +409,7 @@ void BM_RecoveryReplay(benchmark::State& state) {
 
 // Fault matrix: a retrying multi-wave campaign converging over a seeded
 // fault scenario.  Wall time measures the orchestration machinery (wave
-// pushes, re-pushes, parallel ack flushes); the sim-time counters measure
+// pushes, re-pushes, ack flushes); the sim-time counters measure
 // convergence quality under the injected fault severity.
 void BM_FleetFaultCampaign(benchmark::State& state) {
   const auto shards = static_cast<std::size_t>(state.range(0));
@@ -673,34 +647,23 @@ void BM_StatusAppend(benchmark::State& state) {
 
 void RegisterFleetBenchmarks(const std::vector<std::int64_t>& shard_list,
                              const std::vector<std::int64_t>& fleet_list,
-                             const std::vector<std::int64_t>& lane_list,
                              bool overridden) {
   benchmark::RegisterBenchmark("BM_StatusAppend", BM_StatusAppend)
       ->Unit(benchmark::kNanosecond);
   auto* campaign =
       benchmark::RegisterBenchmark("BM_FleetCampaign", BM_FleetCampaign)
-          ->ArgNames({"shards", "fleet", "lanes"})
-          ->UseRealTime()  // deploys/s must be wall time: the pool works
-                           // while the caller's CPU clock idles in the barrier
+          ->ArgNames({"shards", "fleet"})
+          ->UseRealTime()
           ->Unit(benchmark::kMillisecond);
   if (overridden) {
     for (std::int64_t fleet : fleet_list) {
-      for (std::int64_t shards : shard_list) {
-        for (std::int64_t lanes : lane_list) {
-          campaign->Args({shards, fleet, lanes});
-        }
-      }
+      for (std::int64_t shards : shard_list) campaign->Args({shards, fleet});
     }
   } else {
-    // The legacy default matrix (10k fleets only on the interesting axes)
-    // runs on the serial engine…
-    for (std::int64_t shards : {1, 2, 4, 8}) campaign->Args({shards, 100, 1});
-    for (std::int64_t shards : {1, 2, 4, 8}) campaign->Args({shards, 1000, 1});
-    campaign->Args({1, 10000, 1})->Args({4, 10000, 1});
-    // …plus the shards x lanes scaling rows of the parallel-lane PR.
-    for (std::int64_t shards : {1, 4}) {
-      for (std::int64_t lanes : {2, 4}) campaign->Args({shards, 1000, lanes});
-    }
+    // 10k fleets only on the interesting shard counts.
+    for (std::int64_t shards : {1, 2, 4, 8}) campaign->Args({shards, 100});
+    for (std::int64_t shards : {1, 2, 4, 8}) campaign->Args({shards, 1000});
+    campaign->Args({1, 10000})->Args({4, 10000});
   }
 
   auto* durable = benchmark::RegisterBenchmark("BM_FleetDurableCampaign",
@@ -776,7 +739,6 @@ void RegisterMegaBenchmark(const std::vector<std::int64_t>& mega) {
 int main(int argc, char** argv) {
   std::vector<std::int64_t> shards = {1, 2, 4, 8};
   std::vector<std::int64_t> fleets = {100, 1000, 10000};
-  std::vector<std::int64_t> lanes = {1};
   std::vector<std::int64_t> mega = {1, 100000, 24};  // CI bench-smoke shape
   bool overridden = false;
   std::vector<char*> passthrough;
@@ -788,9 +750,6 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--fleet=", 0) == 0) {
       fleets = dacm::bench::ParseList(arg.substr(sizeof("--fleet=") - 1));
       overridden = true;
-    } else if (arg.rfind("--lanes=", 0) == 0) {
-      lanes = dacm::bench::ParseList(arg.substr(sizeof("--lanes=") - 1));
-      overridden = true;
     } else if (arg.rfind("--mega=", 0) == 0) {
       mega = dacm::bench::ParseList(arg.substr(sizeof("--mega=") - 1));
       if (mega.size() != 3) mega.clear();
@@ -798,17 +757,16 @@ int main(int argc, char** argv) {
       passthrough.push_back(argv[i]);
     }
   }
-  if (shards.empty() || fleets.empty() || lanes.empty()) {
-    std::fprintf(
-        stderr,
-        "--shards=/--fleet=/--lanes= need a comma list of positive integers\n");
+  if (shards.empty() || fleets.empty()) {
+    std::fprintf(stderr,
+                 "--shards=/--fleet= need a comma list of positive integers\n");
     return 1;
   }
   if (mega.empty()) {
     std::fprintf(stderr, "--mega= needs shards,fleet,models\n");
     return 1;
   }
-  dacm::bench::RegisterFleetBenchmarks(shards, fleets, lanes, overridden);
+  dacm::bench::RegisterFleetBenchmarks(shards, fleets, overridden);
   dacm::bench::RegisterMegaBenchmark(mega);
   return dacm::bench::BenchMain(static_cast<int>(passthrough.size()),
                                 passthrough.data());

@@ -1,52 +1,33 @@
 // SIM — the discrete-event kernel itself.
 //
-// PR 5 rebuilt the Simulator's pending-event store as a hierarchical timer
-// wheel with pooled nodes and inline callback storage (sim/event_queue.hpp)
-// and made sim::Network delivery zero-copy.  These benchmarks put numbers
-// on that rebuild:
+// The Simulator's pending-event store is a hierarchical timer wheel with
+// pooled nodes and inline callback storage (sim/event_queue.hpp).  These
+// benchmarks put numbers on it:
 //
 //   * BM_Wheel* / BM_Legacy* pairs — identical deterministic schedules
-//     driven through the production kernel and through the exact core it
-//     replaced (std::priority_queue<Event> + std::function callbacks,
-//     reimplemented below as the baseline).  Three schedule shapes:
+//     driven through the production kernel and through the
+//     std::priority_queue<Event> + std::function core it replaced
+//     (reimplemented below as the baseline).  Three schedule shapes:
 //       - NearMonotonic: mixed latencies/alarm periods, the fleet pattern;
 //       - SameTimestampStorm: N events at one timestamp (ack storms);
 //       - TimerChurn: a self-rescheduling alarm chain (OS tick pattern).
-//   * BM_StagedSendDrain — off-thread Send()s staged into the pooled FIFO
-//     and folded in at the drain barrier: the worker->simulator handoff
-//     rate that bounds how fast sharded campaign pushes can be absorbed.
-//   * BM_LaneWindowedFire — the parallel-lane engine (PR 10): a
-//     self-rescheduling load spread over N lanes executed in conservative
-//     time windows with merge barriers.  The lanes=1 row is the serial
-//     engine; the delta against it is the pure lane-machinery overhead
-//     (on a single-CPU runner, its upper bound).  `--lanes=1,2,4` replaces
-//     the lane axis.
 //
-// The acceptance bar for the PR: >= 2x schedule+fire throughput for the
-// wheel rows over their legacy twins on the CI-class runner.
+// The bar: >= 2x schedule+fire throughput for the wheel rows over their
+// legacy twins on the CI-class runner.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
-#include <memory>
 #include <queue>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "sim/network.hpp"
 #include "sim/simulator.hpp"
-#include "support/shared_bytes.hpp"
 
 namespace dacm::bench {
 namespace {
 
-// The PR-4-era event core, verbatim: a binary-heap priority queue of
+// The replaced event core, verbatim: a binary-heap priority queue of
 // std::function events with a FIFO sequence tie-break.  Kept here (not in
 // src/) purely as the measurement baseline.
 class LegacyKernel {
@@ -199,136 +180,7 @@ BENCHMARK(BM_LegacyStorm)->Arg(4096);
 BENCHMARK(BM_WheelTimerChurn)->Arg(8192);
 BENCHMARK(BM_LegacyTimerChurn)->Arg(8192);
 
-// Off-thread staged sends drained at the barrier: a worker thread stages a
-// burst (the sharded campaign push pattern), the simulation thread folds
-// it in and delivers.  Measures the full pooled-FIFO handoff + zero-copy
-// delivery path, not just the queue.
-void BM_StagedSendDrain(benchmark::State& state) {
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  sim::Simulator simulator;
-  sim::Network network(simulator, sim::kMicrosecond);
-  std::shared_ptr<sim::NetPeer> server_side;
-  if (!network.Listen("srv", [&](std::shared_ptr<sim::NetPeer> peer) {
-                 server_side = std::move(peer);
-               }).ok()) {
-    state.SkipWithError("listen failed");
-    return;
-  }
-  auto client = network.Connect("srv");
-  if (!client.ok()) {
-    state.SkipWithError("connect failed");
-    return;
-  }
-  simulator.Run();
-  std::uint64_t received = 0;
-  server_side->SetReceiveHandler(
-      [&received](const support::SharedBytes&) { ++received; });
-
-  const support::SharedBytes payload(support::Bytes(256, 0xAB));
-  for (auto _ : state) {
-    std::thread producer([&]() {
-      for (std::size_t i = 0; i < batch; ++i) {
-        (void)(*client)->Send(payload);  // refcount bump, no copy
-      }
-    });
-    producer.join();
-    simulator.Run();
-  }
-  benchmark::DoNotOptimize(received);
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(batch));
-}
-BENCHMARK(BM_StagedSendDrain)->Arg(4096)->UseRealTime();
-
-// The lane engine under a lane-local load: `batch` seed events spread
-// round-robin over the lanes, each chaining three intra-lane
-// reschedules.  A 1 ms lookahead bounds the conservative windows, so a
-// run executes thousands of window/barrier cycles — the measured rate
-// prices window composition, parallel lane execution and the merge
-// barrier, on top of the same wheel operations the serial rows measure.
-void BM_LaneWindowedFire(benchmark::State& state) {
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  const auto lanes = static_cast<std::size_t>(state.range(1));
-  sim::Simulator simulator;
-  if (lanes > 1) {
-    sim::LaneOptions options;
-    options.lanes = lanes;
-    options.lookahead = sim::kMillisecond;
-    simulator.ConfigureLanes(options);
-  }
-  DelayStream delays;
-  std::atomic<std::uint64_t> fired{0};  // lanes fire concurrently
-  struct Hop {
-    sim::Simulator* simulator;
-    std::atomic<std::uint64_t>* fired;
-    int hops;
-    void operator()() const {
-      fired->fetch_add(1, std::memory_order_relaxed);
-      if (hops > 0) {
-        simulator->ScheduleAfter(sim::kMillisecond,
-                                 Hop{simulator, fired, hops - 1});
-      }
-    }
-  };
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < batch; ++i) {
-      simulator.ScheduleAtLane(static_cast<std::uint32_t>(i % lanes),
-                               simulator.Now() + delays.Next(),
-                               Hop{&simulator, &fired, 3});
-    }
-    simulator.Run();
-  }
-  benchmark::DoNotOptimize(fired.load());
-  state.counters["lanes"] = static_cast<double>(lanes);
-  // Every seed event fires itself plus three chained hops.
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(batch) * 4);
-}
-
-/// Parses a comma list of positive integers (empty on malformed input).
-std::vector<std::int64_t> ParseLaneList(const std::string& csv) {
-  std::vector<std::int64_t> values;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::string token =
-        csv.substr(start, comma == std::string::npos ? comma : comma - start);
-    if (!token.empty()) {
-      char* end = nullptr;
-      const long long value = std::strtoll(token.c_str(), &end, 10);
-      if (end != token.c_str() + token.size() || value <= 0 || value > 64) {
-        return {};
-      }
-      values.push_back(value);
-    }
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return values;
-}
-
 }  // namespace
 }  // namespace dacm::bench
 
-int main(int argc, char** argv) {
-  std::vector<std::int64_t> lanes = {1, 2, 4};
-  std::vector<char*> passthrough;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--lanes=", 0) == 0) {
-      lanes = dacm::bench::ParseLaneList(arg.substr(sizeof("--lanes=") - 1));
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  if (lanes.empty()) {
-    std::fprintf(stderr, "--lanes= needs a comma list of positive integers\n");
-    return 1;
-  }
-  auto* windowed = benchmark::RegisterBenchmark(
-                       "BM_LaneWindowedFire", dacm::bench::BM_LaneWindowedFire)
-                       ->ArgNames({"batch", "lanes"})
-                       ->UseRealTime();  // worker lanes burn CPU off-thread
-  for (std::int64_t lane_count : lanes) windowed->Args({8192, lane_count});
-  return dacm::bench::BenchMain(static_cast<int>(passthrough.size()),
-                                passthrough.data());
-}
+DACM_BENCH_MAIN();

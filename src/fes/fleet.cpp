@@ -7,21 +7,6 @@
 #include "support/metrics.hpp"
 
 namespace dacm::fes {
-namespace {
-
-// FNV-1a over the VIN: the same stable-hash family the server's shard
-// router uses, so a vehicle's sim lane is a pure function of its VIN —
-// identical across runs, reconnects, and lane counts.
-std::uint64_t VinHash(std::string_view vin) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const char c : vin) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
-}  // namespace
 
 ScriptedFleet::ScriptedFleet(sim::Simulator& simulator, sim::Network& network,
                              server::TrustedServer& server,
@@ -49,10 +34,6 @@ const std::string& ScriptedFleet::ModelOf(std::size_t index) const {
 
 support::Status ScriptedFleet::ConnectEndpoint(std::size_t index) {
   DACM_ASSIGN_OR_RETURN(peers_[index], network_.Connect(server_->address()));
-  // Pushes to this vehicle fire on its VIN-hashed simulator lane, so with
-  // ConfigureLanes(N) the fleet's receive handlers spread over N lanes
-  // while the server-side peers stay on the control plane (lane 0).
-  peers_[index]->SetLane(simulator_.LaneForKey(VinHash(vins_[index])));
   peers_[index]->SetReceiveHandler(
       [this, index](const support::SharedBytes& data) {
         OnMessage(index, data);
@@ -164,8 +145,8 @@ void ScriptedFleet::OnMessage(std::size_t index,
   // through send_wire so the ack counters have exactly one home.
   auto send_wire = [&](support::SharedBytes wire) {
     if (peers_[index]->Send(std::move(wire)).ok()) {
-      acks_sent_.fetch_add(1, std::memory_order_relaxed);
-      if (!ack_ok) nacks_sent_.fetch_add(1, std::memory_order_relaxed);
+      ++acks_sent_;
+      if (!ack_ok) ++nacks_sent_;
     }
   };
   auto send_reply = [&](const pirte::PirteMessage& reply) {
@@ -176,7 +157,7 @@ void ScriptedFleet::OnMessage(std::size_t index,
     case pirte::MessageType::kInstallBatch:
     case pirte::MessageType::kUninstallBatch: {
       if (view->type == pirte::MessageType::kInstallBatch) {
-        batches_received_.fetch_add(1, std::memory_order_relaxed);
+        ++batches_received_;
         // First install batch since MarkCampaignEpoch: the vehicle-side
         // time-to-install sample (sim µs from epoch to wire delivery).
         if (observe_epoch_ != 0 && index < observed_.size() &&
@@ -185,20 +166,16 @@ void ScriptedFleet::OnMessage(std::size_t index,
           time_to_install_us_.Observe(simulator_.Now() - observe_epoch_);
         }
       } else {
-        uninstall_batches_received_.fetch_add(1, std::memory_order_relaxed);
+        ++uninstall_batches_received_;
       }
       // Verdict views alias the delivered buffer (alive for the whole
-      // handler); the scratch vector is reused across messages and is
-      // thread-local because handlers on different sim lanes run
-      // concurrently.
-      static thread_local std::vector<pirte::BatchAckEntryView>
-          verdict_scratch_;
+      // handler); the scratch vector is reused across messages.
       verdict_scratch_.clear();
       auto status = pirte::ForEachInBatch(
           view->payload, [&](std::span<const std::uint8_t> entry) {
             auto inner = pirte::PirteMessageView::Parse(entry);
             if (!inner.ok()) return inner.status();
-            packages_received_.fetch_add(1, std::memory_order_relaxed);
+            ++packages_received_;
             verdict_scratch_.push_back(pirte::BatchAckEntryView{
                 inner->plugin_name, ack_ok,
                 ack_ok ? std::string_view() : std::string_view("scripted nack")});
@@ -224,7 +201,7 @@ void ScriptedFleet::OnMessage(std::size_t index,
     }
     case pirte::MessageType::kInstallPackage:
     case pirte::MessageType::kUninstall: {
-      packages_received_.fetch_add(1, std::memory_order_relaxed);
+      ++packages_received_;
       pirte::PirteMessage reply;
       reply.type = pirte::MessageType::kAck;
       reply.plugin_name = std::string(view->plugin_name);

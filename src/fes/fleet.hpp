@@ -20,7 +20,6 @@
 // failure modes the campaign engine's retry machine must converge over.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -97,21 +96,13 @@ class ScriptedFleet : public sim::FleetFaultTarget {
   void MarkCampaignEpoch();
 
   const std::vector<std::string>& vins() const { return vins_; }
-  std::uint64_t batches_received() const {
-    return batches_received_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t batches_received() const { return batches_received_; }
   std::uint64_t uninstall_batches_received() const {
-    return uninstall_batches_received_.load(std::memory_order_relaxed);
+    return uninstall_batches_received_;
   }
-  std::uint64_t packages_received() const {
-    return packages_received_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t acks_sent() const {
-    return acks_sent_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t nacks_sent() const {
-    return nacks_sent_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t packages_received() const { return packages_received_; }
+  std::uint64_t acks_sent() const { return acks_sent_; }
+  std::uint64_t nacks_sent() const { return nacks_sent_; }
   std::uint64_t reconnects() const { return reconnects_; }
 
  private:
@@ -151,18 +142,16 @@ class ScriptedFleet : public sim::FleetFaultTarget {
   /// exposed, with count 0) even before the first observation window —
   /// the metrics-smoke gate requires its presence in any fleet run.
   support::Histogram& time_to_install_us_;
-  /// Atomic (relaxed): with parallel sim lanes, endpoints on different
-  /// lanes handle deliveries concurrently.  Each endpoint's *column*
-  /// state (online_, nack_until_, observed_) stays plain — a vehicle is
-  /// pinned to one lane, so its columns are single-threaded per window;
-  /// only these fleet-wide tallies are shared.
-  std::atomic<std::uint64_t> batches_received_{0};
-  std::atomic<std::uint64_t> uninstall_batches_received_{0};
-  std::atomic<std::uint64_t> packages_received_{0};
-  std::atomic<std::uint64_t> acks_sent_{0};
-  std::atomic<std::uint64_t> nacks_sent_{0};
-  /// Control-plane only (BringOnline / RedialDead run on lane 0).
+  /// Fleet-wide tallies.
+  std::uint64_t batches_received_ = 0;
+  std::uint64_t uninstall_batches_received_ = 0;
+  std::uint64_t packages_received_ = 0;
+  std::uint64_t acks_sent_ = 0;
+  std::uint64_t nacks_sent_ = 0;
   std::uint64_t reconnects_ = 0;
+  /// Reused per kInstallBatch/kUninstallBatch delivery: the verdicts the
+  /// reply carries.
+  std::vector<pirte::BatchAckEntryView> verdict_scratch_;
 };
 
 }  // namespace dacm::fes

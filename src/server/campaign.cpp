@@ -450,7 +450,8 @@ void CampaignEngine::PushWave(Campaign& campaign,
                             << campaign.waves_pushed << ": pushed=" << pushed
                             << " offline=" << offline << " rejected=" << rejected
                             << " already-done=" << done;
-  // PushWave runs on the sim thread, so lane 0 owns the wave timeline.
+  // The wave timeline lives on trace lane 0 with the other server-wide
+  // events.
   // Three args is the event's capacity: rejected/done ride in a second
   // instant only when they are non-zero (the common case emits one event).
   auto& tracer = support::Tracer::Instance();
@@ -633,11 +634,6 @@ void CampaignEngine::Tick(std::size_t index, std::uint64_t epoch) {
     return;
   }
   PushWave(campaign, retry);
-  // The wave ran inside a simulator event, so its worker-staged sends
-  // would otherwise wait for the queue to drain (which engine ticks keep
-  // non-empty).  Fold them in now: deliveries schedule at push time +
-  // latency, through the same deterministic peer-order barrier.
-  simulator_.DrainStaged();
   ScheduleTick(index, simulator_.Now() + campaign.policy.settle_delay);
   // Commit *after* the pushes went out: at-least-once.  A crash inside
   // this tick replays the wave from the previous commit; the server's

@@ -13,20 +13,20 @@
 //                       └──offline──────────┤
 //                                           └─retrying──> pushed ... /failed
 //
-// A wave pushes every retriable row (sharded over the server's worker
-// pool via TrustedServer::CampaignWavePush), waits `settle_delay` of
-// sim-time for the acknowledgements to land, re-evaluates every row
-// against the server's InstalledAPP table, and schedules the next wave
-// after an exponential backoff — until the fleet converges, the nack
+// A wave pushes every retriable row, in row order, through
+// TrustedServer::CampaignWavePush, waits `settle_delay` of sim-time for
+// the acknowledgements to land, re-evaluates every row against the
+// server's InstalledAPP table, and schedules the next wave after an
+// exponential backoff — until the fleet converges, the nack
 // fraction crosses the abort threshold, or the wave budget is exhausted.
 //
 // Rollback campaigns (StartRollback) run the same machine in reverse:
 // one kUninstallBatch per vehicle — the kInstallBatch framing mirrored —
 // converging when the vehicle's row is gone.
 //
-// Determinism: orchestration runs on the simulation thread; wave pushes
-// and ack application use the server's shard-deterministic fan-out, so a
-// seeded fault scenario (sim/fault.hpp) replays byte-identically:
+// Determinism: orchestration, wave pushes and ack application all run on
+// the simulation thread in event order, so a seeded fault scenario
+// (sim/fault.hpp) replays byte-identically:
 // Describe() fingerprints the full row table for exactly that comparison.
 //
 // Durability: AttachJournal() write-ahead-logs every tick's row/wave

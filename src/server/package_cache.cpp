@@ -102,7 +102,6 @@ support::Result<CachedBatch> PackageCache::Acquire(
     const std::string& model, const App& app, const SwConf& conf,
     const SystemSwConf& system_sw, const UsedIdMap& used_ids) {
   Layout layout = Canonicalize(used_ids);
-  std::lock_guard<std::mutex> lock(mutex_);
   Entry& entry = entries_[KeyOf(model, app)];
   for (Variant& variant : entry.variants) {
     if (variant.layout != layout) continue;
@@ -130,12 +129,10 @@ support::Result<CachedBatch> PackageCache::Acquire(
 }
 
 std::size_t PackageCache::entries() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   return entries_.size();
 }
 
 std::size_t PackageCache::live_payloads() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   std::size_t live = 0;
   for (const auto& [key, entry] : entries_) {
     for (const Variant& variant : entry.variants) {

@@ -27,7 +27,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -123,7 +122,6 @@ class PackageCache {
 
   static Layout Canonicalize(const UsedIdMap& used_ids);
 
-  mutable std::mutex mutex_;
   std::unordered_map<std::string, Entry> entries_;
 };
 

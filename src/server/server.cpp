@@ -35,13 +35,13 @@ struct ServerMetrics {
   support::Gauge& durability_degraded;
   /// Sim-time push→converged-ack round trip per install row (µs).
   support::Histogram& deploy_roundtrip_us;
-  /// Wall time of each parallel ack-inbox drain (ns) — real time, so
+  /// Wall time of each ack-inbox flush (ns) — real time, so
   /// histogram-only, never traced.
   support::Histogram& ack_flush_nanos;
   /// Encoded status-record sizes written ahead of row transitions.
   support::Histogram& wal_append_bytes;
-  /// Worker-side wall time per vehicle in DeployCampaign (checks,
-  /// context generation, package assembly, push staging).
+  /// Wall time per vehicle in DeployCampaign (checks, context
+  /// generation, package assembly, push).
   support::Histogram& deploy_push_nanos;
 
   static ServerMetrics& Get() {
@@ -71,7 +71,7 @@ struct ServerMetrics {
 };
 
 /// FNV-1a; stable across platforms so shard placement (and with it the
-/// deterministic drain order of a campaign) never depends on the standard
+/// order a campaign walks the fleet in) never depends on the standard
 /// library's std::hash.
 std::uint64_t Fnv1a(std::string_view s) {
   std::uint64_t hash = 1469598103934665603ull;
@@ -135,10 +135,7 @@ TrustedServer::TrustedServer(sim::Network& network, std::string address,
     : network_(network),
       address_(std::move(address)),
       options_(options),
-      shards_(options.shard_count == 0 ? 1 : options.shard_count),
-      // One worker per shard; the simulation thread only coordinates, so
-      // every campaign send goes through the deterministic staged path.
-      pool_(shards_.size() == 1 ? 0 : shards_.size()) {
+      shards_(options.shard_count == 0 ? 1 : options.shard_count) {
   if (options_.status_sink != nullptr) {
     status_db_ = std::make_unique<StatusDb>(*options_.status_sink,
                                             options_.status_sync_every_n_frames);
@@ -196,7 +193,6 @@ support::Status TrustedServer::Start() {
 // --- user setup -------------------------------------------------------------------
 
 support::Result<UserId> TrustedServer::CreateUser(const std::string& name) {
-  std::unique_lock lock(catalog_mutex_);
   for (const User& user : users_) {
     if (user.name == name) return support::AlreadyExists("user: " + name);
   }
@@ -208,7 +204,6 @@ support::Result<UserId> TrustedServer::CreateUser(const std::string& name) {
 
 support::Status TrustedServer::BindVehicle(UserId user, const std::string& vin,
                                            const std::string& model) {
-  std::unique_lock lock(catalog_mutex_);
   if (user.value() >= users_.size()) return support::NotFound("unknown user");
   Shard& shard = ShardFor(vin);
   const std::uint32_t existing = shard.store.Find(vin);
@@ -233,7 +228,6 @@ support::Status TrustedServer::BindVehicle(UserId user, const std::string& vin,
 
 support::Status TrustedServer::UploadVehicleModel(VehicleModelConf conf) {
   if (conf.model.empty()) return support::InvalidArgument("model name empty");
-  std::unique_lock lock(catalog_mutex_);
   if (!model_ids_.contains(conf.model)) {
     model_ids_.emplace(conf.model,
                        static_cast<std::uint16_t>(model_names_.size()));
@@ -254,7 +248,6 @@ support::Status TrustedServer::UploadApp(App app) {
     return support::InvalidArgument("app " + app.name +
                                     " has more than 64 plug-ins");
   }
-  std::unique_lock lock(catalog_mutex_);
   auto it = apps_.find(app.name);
   if (it != apps_.end() &&
       support::CompareVersions(app.version, it->second.version) <= 0) {
@@ -349,8 +342,7 @@ support::Status TrustedServer::DeployOnShard(Shard& shard, UserId user,
 
   // The Pusher needs a live connection; reject before any state changes so
   // a retry starts from a clean table.  The peer found here is the one
-  // every push below uses (connections only change on the simulation
-  // thread, never under this call).
+  // every push below uses (no connection changes under this call).
   sim::NetPeer* peer = store.FirstConnectedPeer(vehicle);
   if (peer == nullptr) {
     ++shard.stats.deploys_rejected;
@@ -404,9 +396,7 @@ support::Status TrustedServer::DeployOnShard(Shard& shard, UserId user,
     }
   }
   // Sim time of the wire push: the convergence path turns this into the
-  // push→ack round-trip histogram and trace span.  Safe off-thread: the
-  // simulation clock is frozen while workers run (the sim thread is
-  // blocked at the pool barrier).
+  // push→ack round-trip histogram and trace span.
   row.pushed_at = network_.simulator().Now();
   ++shard.stats.deploys_ok;
   DACM_LOG_INFO("server") << "deploy " << app.name << " -> " << vin << " ("
@@ -417,7 +407,6 @@ support::Status TrustedServer::DeployOnShard(Shard& shard, UserId user,
 
 support::Status TrustedServer::Deploy(UserId user, const std::string& vin,
                                       const std::string& app_name) {
-  std::shared_lock lock(catalog_mutex_);
   Shard& shard = ShardFor(vin);
   auto app_it = apps_.find(app_name);
   if (app_it == apps_.end()) {
@@ -435,50 +424,30 @@ support::Status TrustedServer::Deploy(UserId user, const std::string& vin,
 
 support::Result<CampaignReport> TrustedServer::DeployCampaign(
     UserId user, const std::string& app_name, std::span<const std::string> vins) {
-  std::shared_lock lock(catalog_mutex_);
   auto app_it = apps_.find(app_name);
   if (app_it == apps_.end()) return support::NotFound("app: " + app_name);
   const App& app = app_it->second;
 
-  // Partition the fleet so every worker touches exactly one shard.
-  std::vector<std::vector<const std::string*>> by_shard(shards_.size());
-  for (const std::string& vin : vins) {
-    by_shard[ShardIndex(vin)].push_back(&vin);
-  }
-
-  struct ShardOutcome {
-    std::vector<std::pair<std::string, support::Status>> failures;
-    std::vector<std::uint64_t> ns;
-  };
-  std::vector<ShardOutcome> outcomes(shards_.size());
-
-  pool_.ParallelFor(shards_.size(), [&](std::size_t index) {
-    Shard& shard = shards_[index];
-    ShardOutcome& outcome = outcomes[index];
-    outcome.ns.reserve(by_shard[index].size());
-    for (const std::string* vin : by_shard[index]) {
-      const auto start = std::chrono::steady_clock::now();
-      auto status = DeployOnShard(shard, user, shard.store.Find(*vin), *vin,
-                                  app, /*batched=*/true);
-      outcome.ns.push_back(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - start)
-              .count()));
-      if (!status.ok()) outcome.failures.emplace_back(*vin, std::move(status));
-    }
-  });
-
+  // Fleet order, whatever the shard count: pushes leave (and acks come
+  // back) in the order the caller listed the VINs.
   CampaignReport report;
   report.per_vehicle_ns.reserve(vins.size());
   ServerMetrics& metrics = ServerMetrics::Get();
-  for (ShardOutcome& outcome : outcomes) {
-    report.rejected += outcome.failures.size();
-    for (auto& failure : outcome.failures) {
-      report.failures.push_back(std::move(failure));
+  for (const std::string& vin : vins) {
+    Shard& shard = ShardFor(vin);
+    const auto start = std::chrono::steady_clock::now();
+    auto status = DeployOnShard(shard, user, shard.store.Find(vin), vin, app,
+                                /*batched=*/true);
+    const auto ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+    metrics.deploy_push_nanos.Observe(ns);
+    report.per_vehicle_ns.push_back(ns);
+    if (!status.ok()) {
+      ++report.rejected;
+      report.failures.emplace_back(vin, std::move(status));
     }
-    for (std::uint64_t ns : outcome.ns) metrics.deploy_push_nanos.Observe(ns);
-    report.per_vehicle_ns.insert(report.per_vehicle_ns.end(), outcome.ns.begin(),
-                                 outcome.ns.end());
   }
   report.deployed = vins.size() - report.rejected;
   FoldStatsToMetrics();
@@ -524,7 +493,6 @@ std::vector<WaveOutcome> TrustedServer::CampaignWavePush(
     UserId user, const std::string& app_name, CampaignKind kind,
     std::span<const WaveTarget> targets) {
   std::vector<WaveOutcome> outcomes(targets.size());
-  std::shared_lock lock(catalog_mutex_);
   const App* app = nullptr;
   if (kind == CampaignKind::kDeploy) {
     auto app_it = apps_.find(app_name);
@@ -538,19 +506,10 @@ std::vector<WaveOutcome> TrustedServer::CampaignWavePush(
     app = &app_it->second;
   }
 
-  // Same shard discipline as DeployCampaign: one worker per shard, each
-  // writing disjoint outcome slots (indexed by fleet position, so the
-  // result keeps the caller's order).
-  std::vector<std::vector<std::size_t>> by_shard(shards_.size());
   for (std::size_t i = 0; i < targets.size(); ++i) {
-    by_shard[targets[i].ref.shard].push_back(i);
+    outcomes[i] = WavePushOnShard(shards_[targets[i].ref.shard], user,
+                                  targets[i], app_name, app, kind);
   }
-  pool_.ParallelFor(shards_.size(), [&](std::size_t index) {
-    Shard& shard = shards_[index];
-    for (std::size_t i : by_shard[index]) {
-      outcomes[i] = WavePushOnShard(shard, user, targets[i], app_name, app, kind);
-    }
-  });
   return outcomes;
 }
 
@@ -692,7 +651,6 @@ support::Status TrustedServer::MaterializeRowPackages(Shard& shard,
 
 support::Status TrustedServer::UninstallApp(UserId user, const std::string& vin,
                                             const std::string& app_name) {
-  std::shared_lock lock(catalog_mutex_);
   Shard& shard = ShardFor(vin);
   FleetStore& store = shard.store;
   const std::uint32_t vehicle = store.Find(vin);
@@ -732,7 +690,6 @@ support::Status TrustedServer::UninstallApp(UserId user, const std::string& vin,
 
 support::Status TrustedServer::Restore(UserId user, const std::string& vin,
                                        std::uint32_t ecu_id) {
-  std::shared_lock lock(catalog_mutex_);
   Shard& shard = ShardFor(vin);
   FleetStore& store = shard.store;
   const std::uint32_t vehicle = store.Find(vin);
@@ -865,7 +822,6 @@ bool TrustedServer::VehicleOnline(const std::string& vin) const {
 }
 
 bool TrustedServer::HasApp(const std::string& app_name) const {
-  std::shared_lock lock(catalog_mutex_);
   return apps_.contains(app_name);
 }
 
@@ -884,11 +840,9 @@ ServerStats TrustedServer::stats() const {
     total.connections_reaped += shard.stats.connections_reaped;
   }
   total.connections_reaped += pending_reaped_;
-  total.durability_degraded =
-      durability_degraded_.load(std::memory_order_relaxed);
-  total.status_write_retries =
-      status_write_retries_.load(std::memory_order_relaxed);
-  total.status_writes_lost = status_writes_lost_.load(std::memory_order_relaxed);
+  total.durability_degraded = durability_degraded_;
+  total.status_write_retries = status_write_retries_;
+  total.status_writes_lost = status_writes_lost_;
   total.compactions = compactions_;
   return total;
 }
@@ -973,9 +927,6 @@ void TrustedServer::WriteStatusRemoved(Shard& shard, std::string_view vin,
 
 void TrustedServer::AppendShardRecord(Shard& shard, std::string_view vin) {
   (void)AppendDurable(shard.wal_buffer);
-  // The shard's lane: status writes for a VIN always run on the worker
-  // owning its shard (or on the sim thread while no fan-out is active),
-  // so the single-writer-per-lane rule holds.
   support::Tracer::Instance().Instant(
       TraceLane(shard), "wal.append", "wal", network_.simulator().Now(),
       {"bytes", static_cast<std::uint64_t>(shard.wal_buffer.size())}, {}, {},
@@ -986,29 +937,28 @@ support::Status TrustedServer::AppendDurable(
     std::span<const std::uint8_t> payload) {
   if (status_db_ == nullptr) return support::OkStatus();
   ServerMetrics::Get().wal_append_bytes.Observe(payload.size());
-  if (durability_degraded_.load(std::memory_order_relaxed)) {
+  if (durability_degraded_) {
     // Already degraded: one attempt, no retry storm on a dead sink.
     auto status = status_db_->AppendRaw(payload);
-    if (!status.ok()) {
-      status_writes_lost_.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (!status.ok()) ++status_writes_lost_;
     return status;
   }
   auto status = status_db_->AppendRaw(payload);
   for (int attempt = 0; !status.ok() && attempt < kStatusRetryBudget;
        ++attempt) {
-    status_write_retries_.fetch_add(1, std::memory_order_relaxed);
-    // Escalating-yield backoff: enough to let a contending writer or a
-    // transient fs hiccup clear, without sleeping the sim thread.
+    ++status_write_retries_;
+    // Escalating-yield backoff: enough to let a transient fs hiccup
+    // clear, without sleeping the sim thread.
     for (int i = 0; i <= attempt; ++i) std::this_thread::yield();
     status = status_db_->AppendRaw(payload);
   }
   if (!status.ok()) {
-    status_writes_lost_.fetch_add(1, std::memory_order_relaxed);
+    ++status_writes_lost_;
     // Durability degrades, availability does not: the in-memory
     // transition proceeds; the flag is sticky and the operator sees one
     // warning at the transition (per-write noise would drown it).
-    if (!durability_degraded_.exchange(true, std::memory_order_relaxed)) {
+    if (!durability_degraded_) {
+      durability_degraded_ = true;
       DACM_LOG_WARN("server")
           << "durability degraded: status log write failed after "
           << kStatusRetryBudget << " retries: " << status.message();
@@ -1019,7 +969,6 @@ support::Status TrustedServer::AppendDurable(
 
 support::Status TrustedServer::RecoverInstallDb(
     std::span<const std::uint8_t> image) {
-  std::unique_lock lock(catalog_mutex_);
   for (const Shard& shard : shards_) {
     for (std::uint32_t v = 0; v < shard.store.size(); ++v) {
       if (shard.store.bound(v) && shard.store.row_head(v) != kNil) {
@@ -1032,7 +981,7 @@ support::Status TrustedServer::RecoverInstallDb(
   const sim::SimTime replay_started_at = network_.simulator().Now();
   DACM_ASSIGN_OR_RETURN(StatusImage replayed, StatusDb::ReplayImage(image));
   if (!replayed.catalog.empty()) {
-    DACM_RETURN_IF_ERROR(RestoreCatalogLocked(replayed.catalog));
+    DACM_RETURN_IF_ERROR(RestoreCatalog(replayed.catalog));
   }
   std::uint64_t rows_created = 0;
   for (StatusParagraph& paragraph : replayed.paragraphs) {
@@ -1107,7 +1056,7 @@ support::Status TrustedServer::RecoverInstallDb(
   return support::OkStatus();
 }
 
-support::Status TrustedServer::RestoreCatalogLocked(const CatalogImage& image) {
+support::Status TrustedServer::RestoreCatalog(const CatalogImage& image) {
   // Users: index == UserId, so the image's order is authoritative.  A
   // caller that already re-created users (the pre-checkpoint drill) must
   // have created them in the same order or the ids diverged for real.
@@ -1161,53 +1110,50 @@ support::Status TrustedServer::RestoreCatalogLocked(const CatalogImage& image) {
 support::Status TrustedServer::Compact() {
   if (status_db_ == nullptr) return support::OkStatus();
   support::CheckpointWriter checkpoint;
-  {
-    std::shared_lock lock(catalog_mutex_);
-    CatalogImage image;
-    image.users.reserve(users_.size());
-    for (const User& user : users_) image.users.push_back(User{user.name, {}});
-    // Models in interner order, so recovered model ids match pre-crash.
-    image.models.reserve(model_names_.size());
-    for (const std::string& name : model_names_) {
-      auto it = models_.find(name);
-      if (it != models_.end()) image.models.push_back(it->second);
+  CatalogImage image;
+  image.users.reserve(users_.size());
+  for (const User& user : users_) image.users.push_back(User{user.name, {}});
+  // Models in interner order, so recovered model ids match pre-crash.
+  image.models.reserve(model_names_.size());
+  for (const std::string& name : model_names_) {
+    auto it = models_.find(name);
+    if (it != models_.end()) image.models.push_back(it->second);
+  }
+  // apps_ is an unordered_map: sort by name so the checkpoint bytes
+  // (and with them the recovery fingerprint) are deterministic.
+  std::vector<const App*> apps;
+  apps.reserve(apps_.size());
+  for (const auto& [name, app] : apps_) apps.push_back(&app);
+  std::sort(apps.begin(), apps.end(),
+            [](const App* a, const App* b) { return a->name < b->name; });
+  image.apps.reserve(apps.size());
+  for (const App* app : apps) image.apps.push_back(*app);
+  for (const Shard& shard : shards_) {
+    for (std::uint32_t v = 0; v < shard.store.size(); ++v) {
+      if (!shard.store.bound(v)) continue;
+      image.bindings.push_back(CatalogBinding{
+          std::string(shard.store.VinOf(v)), ModelName(shard.store.model(v)),
+          shard.store.owner(v).value()});
     }
-    // apps_ is an unordered_map: sort by name so the checkpoint bytes
-    // (and with them the recovery fingerprint) are deterministic.
-    std::vector<const App*> apps;
-    apps.reserve(apps_.size());
-    for (const auto& [name, app] : apps_) apps.push_back(&app);
-    std::sort(apps.begin(), apps.end(),
-              [](const App* a, const App* b) { return a->name < b->name; });
-    image.apps.reserve(apps.size());
-    for (const App* app : apps) image.apps.push_back(*app);
-    for (const Shard& shard : shards_) {
-      for (std::uint32_t v = 0; v < shard.store.size(); ++v) {
-        if (!shard.store.bound(v)) continue;
-        image.bindings.push_back(CatalogBinding{
-            std::string(shard.store.VinOf(v)), ModelName(shard.store.model(v)),
-            shard.store.owner(v).value()});
-      }
-    }
-    DACM_RETURN_IF_ERROR(checkpoint.Append(EncodeCatalogImage(image)));
-    // One paragraph per live install row — exactly what WriteStatus would
-    // record for the row's current state, so replaying the checkpoint
-    // reproduces this server.
-    support::Bytes record;
-    for (const Shard& shard : shards_) {
-      for (std::uint32_t v = 0; v < shard.store.size(); ++v) {
-        if (!shard.store.bound(v)) continue;
-        for (std::uint32_t r = shard.store.row_head(v); r != kNil;
-             r = shard.store.row(r).next) {
-          const FleetStore::InstallRow& row = shard.store.row(r);
-          const BatchManifest& manifest = *row.manifest;
-          StatusDb::EncodeParagraph(
-              ParagraphHead{shard.store.VinOf(v), manifest.app_name,
-                            manifest.version, WantFor(row.state),
-                            DbStateFor(row.state)},
-              &manifest, record);
-          DACM_RETURN_IF_ERROR(checkpoint.Append(record));
-        }
+  }
+  DACM_RETURN_IF_ERROR(checkpoint.Append(EncodeCatalogImage(image)));
+  // One paragraph per live install row — exactly what WriteStatus would
+  // record for the row's current state, so replaying the checkpoint
+  // reproduces this server.
+  support::Bytes record;
+  for (const Shard& shard : shards_) {
+    for (std::uint32_t v = 0; v < shard.store.size(); ++v) {
+      if (!shard.store.bound(v)) continue;
+      for (std::uint32_t r = shard.store.row_head(v); r != kNil;
+           r = shard.store.row(r).next) {
+        const FleetStore::InstallRow& row = shard.store.row(r);
+        const BatchManifest& manifest = *row.manifest;
+        StatusDb::EncodeParagraph(
+            ParagraphHead{shard.store.VinOf(v), manifest.app_name,
+                          manifest.version, WantFor(row.state),
+                          DbStateFor(row.state)},
+            &manifest, record);
+        DACM_RETURN_IF_ERROR(checkpoint.Append(record));
       }
     }
   }
@@ -1368,12 +1314,10 @@ void TrustedServer::OnVehicleMessage(sim::NetPeer* peer, VehicleRef& link,
                                                                   : kNil;
 
   // Acknowledgements are the server's highest-volume inbound traffic
-  // (thousands per campaign).  The simulation thread only routes: it
-  // peeks the message's leading type byte, resolves the owning shard and
-  // vehicle handle, and stages the raw bytes; the full parse runs on the
-  // flush worker (scheduled at this arrival timestamp), one worker per
-  // shard, so a campaign's ack storm parallelizes instead of serializing
-  // here.
+  // (thousands per campaign).  Delivery only routes: it peeks the
+  // message's leading type byte, resolves the owning shard and vehicle
+  // handle, and stages the raw bytes; the full parse runs at the flush
+  // scheduled for this arrival timestamp, one event per burst.
   const std::span<const std::uint8_t> blob = envelope->message;
   const bool ack_like =
       !blob.empty() &&
@@ -1387,11 +1331,10 @@ void TrustedServer::OnVehicleMessage(sim::NetPeer* peer, VehicleRef& link,
     }
     return;
   }
-  Shard& shard = shards_[shard_index];
   // Zero-copy staging: the delivered buffer stays alive by refcount, and
   // with it the VIN view when the envelope supplied it.
-  shard.ack_inbox.push_back(
-      StagedAck{next_ack_seq_++, vin, vehicle, data, blob});
+  ack_inbox_.push_back(StagedAck{static_cast<std::uint32_t>(shard_index),
+                                 vehicle, vin, data, blob});
   ScheduleAckFlush();
 }
 
@@ -1411,75 +1354,37 @@ void TrustedServer::ScheduleAckFlush() {
 }
 
 void TrustedServer::FlushAckInboxes() {
-  std::size_t staged_acks = 0;
-  for (const Shard& shard : shards_) {
-    staged_acks += shard.ack_inbox.size();
-  }
-  if (staged_acks == 0) return;
+  if (ack_inbox_.empty()) return;
+  const std::size_t staged_acks = ack_inbox_.size();
 
   const auto flush_start = std::chrono::steady_clock::now();
-  pool_.ParallelFor(shards_.size(), [this](std::size_t index) {
-    Shard& shard = shards_[index];
-    for (const StagedAck& staged : shard.ack_inbox) {
-      ApplyStagedAck(shard, staged);
-    }
-    shard.ack_inbox.clear();
-  });
+  for (const StagedAck& staged : ack_inbox_) ApplyStagedAck(staged);
+  ack_inbox_.clear();
   const std::uint64_t flush_wall_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - flush_start)
           .count());
   flush_ns_ += flush_wall_ns;
   // Wall time is histogram-only; the trace event carries the (sim-time,
-  // deterministic) barrier position and staged-ack count.
+  // deterministic) flush position and staged-ack count.
   ServerMetrics::Get().ack_flush_nanos.Observe(flush_wall_ns);
   support::Tracer::Instance().Instant(
       0, "ack.flush", "server", network_.simulator().Now(),
       {"acks", static_cast<std::uint64_t>(staged_acks)});
-  // The barrier also publishes every shard's plain stats fields, making
-  // this the natural fold point into the process metrics registry.
   FoldStatsToMetrics();
 
-  // The checkpoint watermark is checked here — after the barrier, with
-  // every worker done and the just-applied acks included — the one
-  // recurring simulation-thread hook all campaign traffic funnels
+  // The checkpoint watermark is checked here, with the just-applied acks
+  // included — the one recurring hook all campaign traffic funnels
   // through.
   MaybeCompact();
-
-  // Emit the workers' deferred logs in arrival order: the observable log
-  // stream (which the determinism tests record) is identical to what
-  // inline application on the simulation thread would have produced.
-  std::vector<DeferredLog> logs;
-  for (Shard& shard : shards_) {
-    logs.insert(logs.end(), std::make_move_iterator(shard.flush_logs.begin()),
-                std::make_move_iterator(shard.flush_logs.end()));
-    shard.flush_logs.clear();
-  }
-  if (logs.empty()) return;
-  // stable: logs from one ack batch share a seq and must keep their order.
-  std::stable_sort(logs.begin(), logs.end(),
-                   [](const DeferredLog& a, const DeferredLog& b) {
-                     return a.seq < b.seq;
-                   });
-  for (const DeferredLog& log : logs) {
-    if (log.warn) {
-      DACM_LOG_WARN("server") << log.text;
-    } else {
-      DACM_LOG_INFO("server") << log.text;
-    }
-  }
 }
 
-void TrustedServer::ApplyStagedAck(Shard& shard, const StagedAck& staged) {
+void TrustedServer::ApplyStagedAck(const StagedAck& staged) {
+  Shard& shard = shards_[staged.shard];
   auto parsed = pirte::PirteMessageView::Parse(staged.message);
   if (!parsed.ok()) {
-    // Routing only peeked the type byte; a truncated ack surfaces here,
-    // deferred like every flush-phase log.
-    if (support::Log::Enabled(support::LogLevel::kWarn)) {
-      shard.flush_logs.push_back(
-          DeferredLog{staged.seq, true,
-                      "undecodable PirteMessage from " + std::string(staged.vin)});
-    }
+    // Routing only peeked the type byte; a truncated ack surfaces here.
+    DACM_LOG_WARN("server") << "undecodable PirteMessage from " << staged.vin;
     return;
   }
   const pirte::PirteMessageView& message = *parsed;
@@ -1487,8 +1392,7 @@ void TrustedServer::ApplyStagedAck(Shard& shard, const StagedAck& staged) {
     ++shard.stats.acks_received;
     if (!message.ok) ++shard.stats.nacks_received;
     if (staged.vehicle == kNil) return;
-    ApplyAck(shard, staged.vehicle, message.plugin_name, message.ok,
-             message.detail, staged.seq);
+    ApplyAck(shard, staged.vehicle, message.plugin_name, message.ok);
   } else if (message.type == pirte::MessageType::kAckBatch) {
     if (staged.vehicle == kNil) return;
     if (!message.ok) {
@@ -1496,21 +1400,19 @@ void TrustedServer::ApplyStagedAck(Shard& shard, const StagedAck& staged) {
       // campaign push at all; plugin_name carries the batch's app label.
       ++shard.stats.acks_received;
       ++shard.stats.nacks_received;
-      ApplyBatchNack(shard, staged.vehicle, message.plugin_name, message.detail,
-                     staged.seq);
+      ApplyBatchNack(shard, staged.vehicle, message.plugin_name,
+                     message.detail);
       return;
     }
     auto status = pirte::ForEachAckInBatch(
         message.payload,
-        [&](std::string_view plugin, bool ok, std::string_view detail) {
+        [&](std::string_view plugin, bool ok, std::string_view /*detail*/) {
           ++shard.stats.acks_received;
           if (!ok) ++shard.stats.nacks_received;
-          ApplyAck(shard, staged.vehicle, plugin, ok, detail, staged.seq);
+          ApplyAck(shard, staged.vehicle, plugin, ok);
         });
-    if (!status.ok() && support::Log::Enabled(support::LogLevel::kWarn)) {
-      shard.flush_logs.push_back(
-          DeferredLog{staged.seq, true,
-                      "undecodable ack batch from " + std::string(staged.vin)});
+    if (!status.ok()) {
+      DACM_LOG_WARN("server") << "undecodable ack batch from " << staged.vin;
     }
   }
 }
@@ -1544,7 +1446,7 @@ support::Status TrustedServer::PushWireToVehicle(Shard& shard,
 
 void TrustedServer::ApplyBatchNack(Shard& shard, std::uint32_t vehicle,
                                    std::string_view app_name,
-                                   std::string_view detail, std::uint64_t seq) {
+                                   std::string_view detail) {
   // The vehicle rejected a whole batch.  Only reachable through a failed
   // kAckBatch, so an app and a plug-in sharing a name cannot collide.
   FleetStore& store = shard.store;
@@ -1562,14 +1464,9 @@ void TrustedServer::ApplyBatchNack(Shard& shard, std::uint32_t vehicle,
       // Unacked plug-ins are marked acked-but-failed (ack_ok bits for the
       // already-acked ones keep their value).
       row.acked = FullMask(row.manifest->plugins.size());
-      if (support::Log::Enabled(support::LogLevel::kWarn)) {
-        std::string text = "app " + row.manifest->app_name +
-                           " batch-rejected on ";
-        text += store.VinOf(vehicle);
-        text += ": ";
-        text += detail;
-        shard.flush_logs.push_back(DeferredLog{seq, true, std::move(text)});
-      }
+      DACM_LOG_WARN("server") << "app " << row.manifest->app_name
+                              << " batch-rejected on " << store.VinOf(vehicle)
+                              << ": " << detail;
       return;
     }
     if (row.state == InstallState::kUninstalling) {
@@ -1579,23 +1476,16 @@ void TrustedServer::ApplyBatchNack(Shard& shard, std::uint32_t vehicle,
       WriteStatus(shard, store.VinOf(vehicle), row, Want::kDeinstall,
                   DbState::kInstalled);
       row.state = InstallState::kInstalled;
-      if (support::Log::Enabled(support::LogLevel::kWarn)) {
-        std::string text = "uninstall batch of " + row.manifest->app_name +
-                           " rejected on ";
-        text += store.VinOf(vehicle);
-        text += ": ";
-        text += detail;
-        shard.flush_logs.push_back(DeferredLog{seq, true, std::move(text)});
-      }
+      DACM_LOG_WARN("server") << "uninstall batch of " << row.manifest->app_name
+                              << " rejected on " << store.VinOf(vehicle)
+                              << ": " << detail;
       return;
     }
   }
 }
 
 void TrustedServer::ApplyAck(Shard& shard, std::uint32_t vehicle,
-                             std::string_view plugin_name, bool ok,
-                             std::string_view detail, std::uint64_t seq) {
-  (void)detail;  // per-plug-in diagnostics surface via the deferred logs
+                             std::string_view plugin_name, bool ok) {
   FleetStore& store = shard.store;
   for (std::uint32_t r = store.row_head(vehicle); r != kNil;
        r = store.row(r).next) {
@@ -1640,12 +1530,9 @@ void TrustedServer::ApplyAck(Shard& shard, std::uint32_t vehicle,
                 TraceLane(shard), "deploy.roundtrip", "server", row.pushed_at,
                 now - row.pushed_at, {}, {}, {}, "vin", store.VinOf(vehicle));
           }
-          if (support::Log::Enabled(support::LogLevel::kInfo)) {
-            std::string text =
-                "app " + row.manifest->app_name + " fully acknowledged on ";
-            text += store.VinOf(vehicle);
-            shard.flush_logs.push_back(DeferredLog{seq, false, std::move(text)});
-          }
+          DACM_LOG_INFO("server") << "app " << row.manifest->app_name
+                                  << " fully acknowledged on "
+                                  << store.VinOf(vehicle);
         }
       } else if (row.state == InstallState::kUninstalling && RowAllAcked(row)) {
         if (RowAnyFailed(row)) {
@@ -1657,13 +1544,9 @@ void TrustedServer::ApplyAck(Shard& shard, std::uint32_t vehicle,
           WriteStatus(shard, store.VinOf(vehicle), row, Want::kDeinstall,
                       DbState::kInstalled);
           row.state = InstallState::kInstalled;
-          if (support::Log::Enabled(support::LogLevel::kWarn)) {
-            std::string text =
-                "uninstall of " + row.manifest->app_name + " nacked on ";
-            text += store.VinOf(vehicle);
-            text += "; row re-armed";
-            shard.flush_logs.push_back(DeferredLog{seq, true, std::move(text)});
-          }
+          DACM_LOG_WARN("server") << "uninstall of " << row.manifest->app_name
+                                  << " nacked on " << store.VinOf(vehicle)
+                                  << "; row re-armed";
         } else {
           // The freed unique ids disappear with the row (the bitmap is
           // derived); the tombstone erases the pair from the status DB

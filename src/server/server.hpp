@@ -15,35 +15,27 @@
 //
 // Scale-out: per-vehicle state lives in packed per-shard columns
 // (server/fleet_store.hpp) — VINs interned to dense u32 handles, install
-// rows in a slab keyed by handle — partitioned by VIN hash, and
-// DeployCampaign fans a fleet-wide rollout over a worker pool: one worker
-// per shard, so compatibility checks and push staging for different
-// vehicles run concurrently while each vehicle is only ever touched by
-// its shard's owner.  Package generation is content-addressed
-// (server/package_cache.hpp): a campaign over millions of vehicles
-// generates and serializes each distinct (model, app, version, id-layout)
-// batch exactly once and re-pushes the same refcounted envelope
-// fleet-wide.  The catalog (users / models / apps) is read-mostly and
-// sits behind a shared_mutex: web-service mutators take it exclusively,
-// deploy workers share it.
+// rows in a slab keyed by handle — partitioned by VIN hash.  Shards are a
+// data partition, not threads: campaigns visit vehicles in the caller's
+// order on the calling thread, whatever the shard count.  Package
+// generation is content-addressed (server/package_cache.hpp): a campaign
+// over millions of vehicles generates and serializes each distinct
+// (model, app, version, id-layout) batch exactly once and re-pushes the
+// same refcounted envelope fleet-wide.
 //
 // Inbound acknowledgements — the server's highest-volume traffic — are
-// staged into per-shard inboxes by the simulation thread and applied in
-// parallel (one worker per shard) at a flush event scheduled for the
-// arrival timestamp, so campaigns' ack storms no longer serialize on the
-// simulation thread.  Campaign *orchestration* (multi-wave retries,
-// rollback campaigns, abort thresholds) lives in server/campaign.hpp and
-// drives the CampaignWavePush entry point below.
+// staged into one arrival-ordered inbox and applied by a flush event
+// scheduled for the arrival timestamp, so one event covers a whole burst.
+// Campaign *orchestration* (multi-wave retries, rollback campaigns, abort
+// thresholds) lives in server/campaign.hpp and drives the
+// CampaignWavePush entry point below.
 //
-// Threading rules (see README "Threading model"): everything except the
-// shard work inside DeployCampaign / CampaignWavePush / FlushAckInboxes
-// runs on the simulation thread; workers touch only their own shard plus
-// the shared catalog under the read lock.
+// Threading: none.  Every entry point, and every callback the server
+// schedules, runs on the simulation thread (see README "Threading
+// model").
 #pragma once
 
-#include <atomic>
 #include <memory>
-#include <shared_mutex>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -57,7 +49,6 @@
 #include "server/package_cache.hpp"
 #include "server/status_db.hpp"
 #include "sim/network.hpp"
-#include "support/thread_pool.hpp"
 
 namespace dacm::server {
 
@@ -136,9 +127,8 @@ enum class RowProbe : std::uint8_t {
 };
 
 struct ServerOptions {
-  /// Vehicle shards == deploy workers.  1 keeps the pipeline fully
-  /// synchronous on the calling thread (no pool, no locking overhead on
-  /// the hot path beyond an uncontended shared_mutex).
+  /// Number of per-vehicle state partitions (by VIN hash).  A data
+  /// layout choice only: the observable protocol does not depend on it.
   std::size_t shard_count = 1;
   /// Durable install DB (server/status_db.hpp): when set, every
   /// InstalledApp mutation writes a status paragraph ahead of the
@@ -164,11 +154,11 @@ struct ServerOptions {
 struct CampaignReport {
   std::size_t deployed = 0;  // batch pushed; rows are kPending until acked
   std::size_t rejected = 0;
-  /// Per-VIN rejection reasons, grouped by shard (not fleet order).
+  /// Per-VIN rejection reasons, in fleet order.
   std::vector<std::pair<std::string, support::Status>> failures;
-  /// Worker-side processing time per vehicle (ns): compatibility checks,
-  /// context generation, package assembly and push staging.  Fleet order
-  /// is not preserved (grouped by shard); used for tail-latency tracking.
+  /// Processing time per vehicle (ns), in fleet order: compatibility
+  /// checks, context generation, package assembly and push.  Used for
+  /// tail-latency tracking.
   std::vector<std::uint64_t> per_vehicle_ns;
 };
 
@@ -217,9 +207,9 @@ class TrustedServer {
                          const std::string& app_name);
 
   /// Fleet-wide OTA campaign: deploys `app_name` to every VIN in `vins`,
-  /// sharding the per-vehicle pipeline over the worker pool and pushing
-  /// one batched package set per vehicle.  Per-vehicle rejections land in
-  /// the report; only a missing app fails the whole campaign.
+  /// in order, pushing one batched package set per vehicle.  Per-vehicle
+  /// rejections land in the report; only a missing app fails the whole
+  /// campaign.
   support::Result<CampaignReport> DeployCampaign(UserId user,
                                                  const std::string& app_name,
                                                  std::span<const std::string> vins);
@@ -283,8 +273,8 @@ class TrustedServer {
   /// One orchestrated campaign wave: per target, performs whatever the
   /// kind requires right now — a fresh batched deploy, a re-push of the
   /// recorded batch for a stale kPending row, a clear-and-redeploy of a
-  /// nacked row, or a kUninstallBatch rollback push — sharded over the
-  /// worker pool exactly like DeployCampaign.  Targets must come from
+  /// nacked row, or a kUninstallBatch rollback push — in `targets` order,
+  /// like DeployCampaign.  Targets must come from
   /// ResolveVehicle (an unresolved one is rejected as an unknown VIN).
   /// Returns outcomes in `targets` order.
   std::vector<WaveOutcome> CampaignWavePush(UserId user,
@@ -292,12 +282,11 @@ class TrustedServer {
                                             CampaignKind kind,
                                             std::span<const WaveTarget> targets);
 
-  /// Applies every staged acknowledgement now (simulation thread only).
-  /// Inbound kAck/kAckBatch messages are staged into per-shard inboxes and
-  /// normally applied by a flush event the server schedules at the arrival
-  /// timestamp — shards drain in parallel over the worker pool, so ack
-  /// application no longer serializes on the simulation thread.  Explicit
-  /// calls are only needed to observe ack state without running events.
+  /// Applies every staged acknowledgement now, in arrival order.  Inbound
+  /// kAck/kAckBatch messages are staged into one inbox and normally
+  /// applied by a flush event the server schedules at the arrival
+  /// timestamp.  Explicit calls are only needed to observe ack state
+  /// without running events.
   void FlushAckInboxes();
 
   // --- queries --------------------------------------------------------------------
@@ -315,9 +304,8 @@ class TrustedServer {
   bool HasApp(const std::string& app_name) const;
   /// Aggregated over all shards.
   ServerStats stats() const;
-  /// Cumulative wall time spent inside ack-inbox flushes (the phase that
-  /// parallelizes one-worker-per-shard).  bench_fleet subtracts it from
-  /// the simulation phase to report the Amdahl-serial fraction.
+  /// Cumulative wall time spent inside ack-inbox flushes.  bench_fleet
+  /// reports it as a share of the campaign's wall time.
   std::uint64_t ack_flush_nanos() const { return flush_ns_; }
   /// One shard's counters (index < shard_count()).
   const ServerStats& shard_stats(std::size_t shard) const {
@@ -329,50 +317,30 @@ class TrustedServer {
   std::size_t shard_count() const { return shards_.size(); }
 
  private:
-  /// One inbound acknowledgement, staged by the simulation thread and
-  /// applied by the owning shard's worker at the next flush.  The staged
-  /// entry keeps the delivered envelope buffer alive by refcount and
-  /// stores the already-parsed message view (aliasing that buffer) — no
-  /// copy and no re-parse per ack.
+  /// One inbound acknowledgement, staged at delivery and applied at the
+  /// next flush.  The staged entry keeps the delivered envelope buffer
+  /// alive by refcount and stores the message view (aliasing that
+  /// buffer) — no copy per ack.
   struct StagedAck {
-    std::uint64_t seq = 0;    // global arrival order (log merge key)
+    /// Owning shard and vehicle handle, resolved at staging time; vehicle
+    /// is kNil for unknown/unbound VINs.
+    std::uint32_t shard = 0;
+    std::uint32_t vehicle = FleetStore::kNil;
     /// Aliases the envelope buffer below or the shard's VIN arena.
     std::string_view vin;
-    /// Handle resolved at staging time (the simulation thread owns every
-    /// shard between flush barriers), so the flush worker skips the
-    /// per-ack hash lookup.  kNil for unknown/unbound VINs.
-    std::uint32_t vehicle = FleetStore::kNil;
     support::SharedBytes envelope;  // the delivered buffer
     /// The embedded kAck/kAckBatch bytes, in place.  Routing only peeks
-    /// the type byte; the full parse happens on the flush worker, off the
-    /// simulation thread.
+    /// the type byte; the full parse happens at the flush.
     std::span<const std::uint8_t> message;
   };
-  /// A log line produced off-thread during an inbox flush; emitted by the
-  /// simulation thread after the barrier, sorted by arrival order, so the
-  /// observable log stream is identical to inline application.
-  struct DeferredLog {
-    std::uint64_t seq = 0;
-    bool warn = false;
-    std::string text;
-  };
 
-  // Per-vehicle state partition.  A shard is owned by exactly one thread
-  // at any time: the simulation thread outside DeployCampaign /
-  // CampaignWavePush / FlushAckInboxes, its assigned worker inside.
+  // Per-vehicle state partition.
   struct Shard {
     /// Packed columnar vehicle/row/connection state (fleet_store.hpp).
     FleetStore store;
     ServerStats stats;
-    /// Ack inbox: filled by the simulation thread between flushes, drained
-    /// by this shard's worker inside FlushAckInboxes.  Never accessed
-    /// concurrently (the pool barrier separates the two phases).
-    std::vector<StagedAck> ack_inbox;
-    std::vector<DeferredLog> flush_logs;
     /// Status-record scratch: every paragraph this shard writes is
-    /// encoded here, so steady-state WAL appends allocate nothing.  Per
-    /// shard, not thread_local: shard workers write concurrently, and a
-    /// shard has one owner at a time.
+    /// encoded here, so steady-state WAL appends allocate nothing.
     support::Bytes wal_buffer;
   };
 
@@ -380,38 +348,36 @@ class TrustedServer {
   Shard& ShardFor(std::string_view vin);
   const Shard& ShardFor(std::string_view vin) const;
 
-  /// Trace lane owned by whichever thread currently works `shard`: lane
-  /// (shard index + 1); lane 0 belongs to the simulation thread.  Inside
-  /// a ParallelFor each shard index is held by exactly one worker, and the
-  /// pool barrier orders successive phases, so every lane has one writer.
+  /// Trace track of `shard`: lane (shard index + 1), so each shard's
+  /// per-vehicle events get their own track; lane 0 carries the server-wide
+  /// events.
   std::uint32_t TraceLane(const Shard& shard) const {
     return static_cast<std::uint32_t>(&shard - shards_.data()) + 1;
   }
 
   /// Snapshots the aggregated ServerStats into the process metrics
-  /// registry.  Called at the ack-flush barrier (workers quiesced by the
-  /// pool handshake) and after campaign fan-outs — the per-shard counters
-  /// stay plain fields on the hot path; only the fold touches atomics.
+  /// registry.  Called after each ack flush and campaign — the per-shard
+  /// counters stay plain fields on the hot path; only the fold touches
+  /// the registry.
   void FoldStatsToMetrics() const;
 
   support::Status CheckOwnership(UserId user, UserId owner,
                                  std::string_view vin) const;
   support::Result<const VehicleModelConf*> ModelConf(const std::string& model) const;
-  /// Name of an interned model id (catalog read lock or sim thread).
+  /// Name of an interned model id.
   const std::string& ModelName(std::uint16_t model_id) const {
     return model_names_[model_id];
   }
 
   /// The full per-vehicle deploy pipeline on a resolved handle (kNil or
-  /// unbound: rejected as an unknown VIN).  Caller must hold the catalog
-  /// read lock and own `shard`.  `batched` selects one kInstallBatch push
-  /// (campaigns) vs one push per plug-in (interactive Deploy).
+  /// unbound: rejected as an unknown VIN).  `batched` selects one
+  /// kInstallBatch push (campaigns) vs one push per plug-in (interactive
+  /// Deploy).
   support::Status DeployOnShard(Shard& shard, UserId user,
                                 std::uint32_t vehicle, std::string_view vin,
                                 const App& app, bool batched);
 
-  /// One target of a campaign wave.  Caller must hold the catalog read
-  /// lock and own `shard`; `app` is null for rollback waves.
+  /// One target of a campaign wave; `app` is null for rollback waves.
   WaveOutcome WavePushOnShard(Shard& shard, UserId user,
                               const WaveTarget& target,
                               const std::string& app_name, const App* app,
@@ -422,8 +388,7 @@ class TrustedServer {
   /// so it never sends an empty wire.
   support::Status RepushInstallBatch(Shard& shard, std::uint32_t vehicle,
                                      std::uint32_t row);
-  /// Regenerates `row`'s packages from the catalog (caller holds the
-  /// read lock and owns the vehicle's shard): derives the occupied ids
+  /// Regenerates `row`'s packages from the catalog: derives the occupied ids
   /// of the vehicle's *other* rows, acquires the cached batch for that
   /// layout (deterministic generation reproduces the recorded ids when
   /// nothing shifted), and records the refreshed paragraph.  Used when
@@ -435,7 +400,7 @@ class TrustedServer {
   std::string DependentsOf(const Shard& shard, std::uint32_t vehicle,
                            const std::string& app_name) const;
 
-  // Pusher internals (simulation thread only).
+  // Pusher internals.
   void OnAccept(std::shared_ptr<sim::NetPeer> peer);
   /// Installs `peer`'s receive handler.  The handler owns the
   /// connection's link — the VehicleRef its Hello announced (kNil until
@@ -459,16 +424,14 @@ class TrustedServer {
                                     std::string_view vin,
                                     const support::SharedBytes& wire);
 
-  // Ack application (flush phase: runs on the shard's worker; `seq` keys
-  // the deferred logs).
-  void ApplyStagedAck(Shard& shard, const StagedAck& staged);
+  // Ack application (flush phase).
+  void ApplyStagedAck(const StagedAck& staged);
   void ApplyAck(Shard& shard, std::uint32_t vehicle, std::string_view plugin,
-                bool ok, std::string_view detail, std::uint64_t seq);
+                bool ok);
   /// A failed kAckBatch: the vehicle rejected an entire campaign push;
   /// fails the named app's pending row (or re-arms an uninstalling row).
   void ApplyBatchNack(Shard& shard, std::uint32_t vehicle,
-                      std::string_view app_name, std::string_view detail,
-                      std::uint64_t seq);
+                      std::string_view app_name, std::string_view detail);
 
   // Write-ahead status DB (no-ops when options_.status_sink is null).
   // Sink errors degrade durability, never availability: bounded retries,
@@ -486,18 +449,15 @@ class TrustedServer {
   /// traces it on the shard's lane.
   void AppendShardRecord(Shard& shard, std::string_view vin);
   /// Appends one pre-encoded record with the bounded retry-then-degrade
-  /// policy above.  Thread-safe (shard workers write status concurrently;
-  /// the writer serializes internally).
+  /// policy above.
   support::Status AppendDurable(std::span<const std::uint8_t> payload);
-  /// Merges a recovered catalog image into the live catalog (caller holds
-  /// the exclusive catalog lock).  Idempotent against entries the caller
-  /// already re-created; errors only on a genuine conflict (same user
-  /// index, different name).
-  support::Status RestoreCatalogLocked(const CatalogImage& image);
+  /// Merges a recovered catalog image into the live catalog.  Idempotent
+  /// against entries the caller already re-created; errors only on a
+  /// genuine conflict (same user index, different name).
+  support::Status RestoreCatalog(const CatalogImage& image);
   /// Runs Compact() once the watermark is crossed (warn on failure).
-  /// Called from FlushAckInboxes before the parallel drain — the one
-  /// recurring simulation-thread hook every campaign path funnels
-  /// through, and a point where no worker holds the catalog lock.
+  /// Called from FlushAckInboxes after the acks are applied — the one
+  /// recurring hook every campaign path funnels through.
   void MaybeCompact();
   /// Streams the DescribeFleet() text into `sink` (one
   /// Append(string_view) per fragment) — single formatter behind
@@ -510,19 +470,15 @@ class TrustedServer {
   ServerOptions options_;
   bool started_ = false;
 
-  // Shared catalog: read-mostly.  Mutators exclusive, deploy path shared.
-  mutable std::shared_mutex catalog_mutex_;
+  // Catalog.
   std::vector<User> users_;
   std::unordered_map<std::string, VehicleModelConf> models_;   // by model name
   std::unordered_map<std::string, App> apps_;                  // by app name
-  /// Model-name interner: vehicles store a u16 id, not a string.  Grows
-  /// under the exclusive lock (UploadVehicleModel); reads follow the same
-  /// rules as the shard columns.
+  /// Model-name interner: vehicles store a u16 id, not a string.
   std::vector<std::string> model_names_;
   std::unordered_map<std::string, std::uint16_t> model_ids_;
 
-  /// Content-addressed batch cache, shared across shards (internally
-  /// locked; generation for a new key runs under its mutex).
+  /// Content-addressed batch cache, shared across shards.
   PackageCache cache_;
 
   std::vector<Shard> shards_;
@@ -530,24 +486,23 @@ class TrustedServer {
   std::vector<std::shared_ptr<sim::NetPeer>> pending_;
   /// Handshake reaping happens before a VIN (and so a shard) is known.
   std::uint64_t pending_reaped_ = 0;
-  std::uint64_t next_ack_seq_ = 0;
+  /// Acks staged since the last flush, in arrival order.
+  std::vector<StagedAck> ack_inbox_;
   bool ack_flush_scheduled_ = false;
-  std::uint64_t flush_ns_ = 0;  // total time inside FlushAckInboxes' barrier
+  std::uint64_t flush_ns_ = 0;  // total wall time inside FlushAckInboxes
 
   /// Append side of the durable install DB (set iff options_.status_sink).
   std::unique_ptr<StatusDb> status_db_;
   /// Sticky durability-degraded flag + write-loss accounting (see
-  /// ServerStats).  Atomics: status writes come from shard workers.
-  std::atomic<bool> durability_degraded_{false};
-  std::atomic<std::uint64_t> status_write_retries_{0};
-  std::atomic<std::uint64_t> status_writes_lost_{0};
-  /// Completed checkpoint compactions (simulation thread only).
+  /// ServerStats).
+  bool durability_degraded_ = false;
+  std::uint64_t status_write_retries_ = 0;
+  std::uint64_t status_writes_lost_ = 0;
+  /// Completed checkpoint compactions.
   std::uint64_t compactions_ = 0;
   /// Weak-referenced by accept/flush callbacks and in-flight SYNs: they
   /// go inert when the server is destroyed instead of dangling.
   std::shared_ptr<const bool> alive_ = std::make_shared<bool>(true);
-
-  support::ThreadPool pool_;
 };
 
 }  // namespace dacm::server

@@ -91,7 +91,6 @@ struct StatusImage {
 };
 
 /// Append-side of the DB: serializes paragraphs into CRC-framed records.
-/// Thread-safe (shard workers write concurrently through RecordWriter).
 class StatusDb {
  public:
   /// `sync_every_n_frames` forwards to RecordWriter: every Nth paragraph
@@ -102,9 +101,7 @@ class StatusDb {
       : sink_(sink), writer_(sink, sync_every_n_frames) {}
 
   /// Atomically swaps the log's contents for a checkpoint image
-  /// (RecordSink::Rotate) and restarts the byte accounting.  Simulation
-  /// thread only, with no concurrent writers (the server compacts
-  /// between flush barriers).
+  /// (RecordSink::Rotate) and restarts the byte accounting.
   support::Status Rotate(std::span<const std::uint8_t> image) {
     DACM_RETURN_IF_ERROR(sink_.Rotate(image));
     writer_.ResetByteCount();

@@ -19,9 +19,10 @@
 //    interleave arrival order, never ordering keys);
 //  * events beyond the 2^36 us horizon wait in an overflow min-heap and
 //    fold into the wheel as the cursor approaches;
-//  * events scheduled *behind* the wheel cursor — possible only from
-//    drain hooks that run after the cursor advanced past a RunUntil
-//    bound — wait in a small backlog min-heap that always pops first.
+//  * events scheduled *behind* the wheel cursor wait in a small backlog
+//    min-heap that always pops first.  The Simulator never produces one
+//    (it clamps to Now(), and the cursor never passes Now()), so this
+//    only keeps Push total for direct users of the queue.
 //
 // Event nodes (timestamp, sequence, intrusive link, inline callback) come
 // from a chunked free list owned by the queue; a steady-state simulation
@@ -111,19 +112,6 @@ class EventQueue {
     return TakeNode(node, at, fn);
   }
 
-  /// Timestamp of the earliest pending event, without popping it;
-  /// kMaxTime when empty.  May cascade outer wheel levels to surface the
-  /// next due slot — externally invisible (the following PopDue would do
-  /// the same work), and later pushes behind the advanced cursor take the
-  /// backlog heap, which still pops first.  The lane scheduler uses this
-  /// to pick the next conservative window start across per-lane wheels.
-  SimTime NextEventTime() {
-    if (solo_ != nullptr) return solo_->at;
-    if (!backlog_.empty()) return backlog_.front()->at;
-    if (ready_head_ == nullptr && !AdvanceToNext(kMaxTime)) return kMaxTime;
-    return ready_head_->at;
-  }
-
   /// Advances the wheel cursor to `t`.  Caller contract: no pending event
   /// has timestamp <= `t` (i.e. PopDue(t, ...) just returned false).
   /// RunUntil uses this so a later Push relative to the new Now() lands
@@ -206,8 +194,8 @@ class EventQueue {
   void Place(Node* node) {
     const SimTime at = node->at;
     if (at < cursor_) {
-      // Scheduled behind the wheel cursor (a drain hook firing after a
-      // bounded run advanced the cursor); the backlog heap pops first.
+      // Scheduled behind the wheel cursor (see the file comment); the
+      // backlog heap pops first.
       backlog_.push_back(node);
       std::push_heap(backlog_.begin(), backlog_.end(), NodeLater{});
     } else if (at == cursor_) {
@@ -268,7 +256,7 @@ class EventQueue {
   Node* ready_head_ = nullptr;  // due events (all at == cursor_), seq order
   Node* ready_tail_ = nullptr;
 
-  std::vector<Node*> backlog_;   // at < cursor_ (drain-hook stragglers)
+  std::vector<Node*> backlog_;   // at < cursor_ (see the file comment)
   std::vector<Node*> overflow_;  // beyond the wheel horizon
   std::vector<Node*> scratch_due_;
 

@@ -1,24 +1,6 @@
 #include "sim/network.hpp"
 
-#include <algorithm>
-#include <cassert>
-
 namespace dacm::sim {
-
-Network::Network(Simulator& simulator, SimTime one_way_latency)
-    : simulator_(simulator), latency_(one_way_latency) {
-  drain_hook_ = simulator_.AddDrainHook([this] { DrainStagedSends(); });
-  // The one-way latency is the minimum notice any lane gets of a
-  // cross-lane message, so it bounds the conservative window width.
-  simulator_.ClampLookahead(latency_);
-}
-
-void Network::SetLatency(SimTime latency) {
-  latency_ = latency;
-  simulator_.ClampLookahead(latency_);
-}
-
-Network::~Network() { simulator_.RemoveDrainHook(drain_hook_); }
 
 std::string NetPeer::label() const {
   return (client_side_ ? "client->" : "accept@") + *address_;
@@ -32,63 +14,19 @@ support::Status NetPeer::Send(support::SharedBytes message) {
   if (!remote) {
     return support::Unavailable("remote endpoint closed");
   }
-  if (std::this_thread::get_id() == net_.sim_thread_) {
-    net_.ScheduleDelivery(std::move(remote), std::move(message));
-  } else {
-    std::lock_guard<std::mutex> lock(net_.staged_mutex_);
-    net_.staged_.push_back(
-        Network::StagedSend{seq_, std::move(remote), std::move(message)});
-  }
+  // 40 bytes of captures: stays in the event node's inline storage.
+  net_.simulator_.ScheduleAfter(
+      net_.latency_, [remote = std::move(remote),
+                      message = std::move(message), net = &net_]() {
+        ++net->messages_delivered_;
+        if (remote->on_receive_) remote->on_receive_(message);
+      });
   return support::OkStatus();
 }
 
 void NetPeer::Close() {
   if (auto remote = remote_.lock()) remote->remote_.reset();
   remote_.reset();
-}
-
-void Network::ScheduleDelivery(std::shared_ptr<NetPeer> remote,
-                               support::SharedBytes message) {
-  // Delivery fires on the receiving peer's lane (lane 0 unless the peer
-  // set a vehicle lane), so a vehicle's receive handler always runs on
-  // its own lane.  40 bytes of captures: stays in the event node's
-  // inline storage.
-  const std::uint32_t lane = remote->lane_;
-  simulator_.ScheduleAfterLane(
-      lane, latency_,
-      [remote = std::move(remote), message = std::move(message), net = this]() {
-        net->messages_delivered_.fetch_add(1, std::memory_order_relaxed);
-        if (remote->on_receive_) remote->on_receive_(message);
-      });
-}
-
-void Network::DrainStagedSends() {
-  {
-    std::lock_guard<std::mutex> lock(staged_mutex_);
-    if (staged_.empty()) return;
-    drain_batch_.swap(staged_);
-    // Hand the producers a warm vector back (the one drained last time),
-    // so the staging path reallocates only while the high-water mark grows.
-    if (staged_.capacity() == 0) staged_.swap(staged_spare_);
-  }
-  // Workers interleave nondeterministically in the staging order; per-peer
-  // FIFO order is intact (each connection is driven by one thread), so
-  // sorting by the peer's creation sequence restores one canonical global
-  // order.
-  std::stable_sort(drain_batch_.begin(), drain_batch_.end(),
-                   [](const StagedSend& a, const StagedSend& b) {
-                     return a.peer_seq < b.peer_seq;
-                   });
-  for (StagedSend& send : drain_batch_) {
-    ScheduleDelivery(std::move(send.remote), std::move(send.message));
-  }
-  drain_batch_.clear();
-  {
-    std::lock_guard<std::mutex> lock(staged_mutex_);
-    if (staged_spare_.capacity() < drain_batch_.capacity()) {
-      staged_spare_.swap(drain_batch_);
-    }
-  }
 }
 
 support::Status Network::Listen(const std::string& address, AcceptHandler on_accept) {
@@ -110,9 +48,6 @@ support::Status Network::Unlisten(const std::string& address) {
 }
 
 support::Result<std::shared_ptr<NetPeer>> Network::Connect(const std::string& address) {
-  // Connection setup mutates listener bookkeeping and peer cross-links;
-  // it must never be driven from a worker lane.
-  assert(simulator_.OnControlPlane());
   auto it = listeners_.find(address);
   if (it == listeners_.end()) {
     return support::NotFound("no listener at " + address);
@@ -120,10 +55,10 @@ support::Result<std::shared_ptr<NetPeer>> Network::Connect(const std::string& ad
   if (!link_up()) {
     return support::Unavailable("network link down");
   }
-  auto client = std::shared_ptr<NetPeer>(new NetPeer(
-      *this, next_peer_seq_++, it->second.address, /*client_side=*/true));
-  auto server = std::shared_ptr<NetPeer>(new NetPeer(
-      *this, next_peer_seq_++, it->second.address, /*client_side=*/false));
+  auto client = std::shared_ptr<NetPeer>(
+      new NetPeer(*this, it->second.address, /*client_side=*/true));
+  auto server = std::shared_ptr<NetPeer>(
+      new NetPeer(*this, it->second.address, /*client_side=*/false));
   client->remote_ = server;
   server->remote_ = client;
   // The accept handler owns the server-side peer; deliver it after one

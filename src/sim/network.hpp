@@ -8,30 +8,20 @@
 // installation protocol recovers via server-side acknowledgement tracking).
 //
 // Delivery is zero-copy: a message is one refcounted immutable buffer
-// (support::SharedBytes) handed from sender to staged-send FIFO to the
+// (support::SharedBytes) handed from sender to delivery event to the
 // receive handler — a campaign batch serialized once travels every hop,
 // including re-pushes, by refcount bump.
 //
-// Threading: Send() may be called from worker threads (the server's
-// sharded deploy pipeline pushes from its pool).  Off-thread sends are
-// staged into a pooled FIFO under a lock and folded into the simulator's
-// event queue by the drain barrier the Simulator owns — ordered by peer
-// creation sequence, so the resulting event order is deterministic
-// regardless of worker scheduling.  Sends from the simulation thread keep
-// the classic immediate scheduling (delivery at Now() + latency), so
-// single-threaded timing is unchanged.  Everything else (Listen, Connect,
-// Close, SetLinkUp, handler installation, and message delivery itself)
-// stays on the simulation thread.
+// Threading: none.  Send() schedules the delivery event at Now() + latency
+// on the simulator, and everything else (Listen, Connect, Close,
+// SetLinkUp, handler installation, delivery) runs on the simulation
+// thread too.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "sim/simulator.hpp"
 #include "support/shared_bytes.hpp"
@@ -48,21 +38,14 @@ class NetPeer : public std::enable_shared_from_this<NetPeer> {
   /// byte span, so handlers written against either keep working.
   using ReceiveHandler = std::function<void(const support::SharedBytes&)>;
 
-  /// Sends one message to the remote endpoint.  Returns kUnavailable if the
-  /// link is down or the remote endpoint is gone.  Safe to call from worker
-  /// threads; delivery is scheduled at the next drain barrier.  Fanning the
-  /// same SharedBytes to many peers shares one buffer.
+  /// Sends one message to the remote endpoint, delivered one latency from
+  /// Now().  Returns kUnavailable if the link is down or the remote
+  /// endpoint is gone.  Fanning the same SharedBytes to many peers shares
+  /// one buffer.
   support::Status Send(support::SharedBytes message);
 
   /// Installs the receive callback (replaces any previous one).
   void SetReceiveHandler(ReceiveHandler handler) { on_receive_ = std::move(handler); }
-
-  /// Simulator lane this endpoint's deliveries fire on (its receive
-  /// handler's home lane).  Defaults to 0 (the control plane); vehicles
-  /// set their VIN-hashed lane right after Connect.  Simulation thread
-  /// only, and only while no delivery is in flight toward this peer.
-  void SetLane(std::uint32_t lane) { lane_ = lane; }
-  std::uint32_t lane() const { return lane_; }
 
   /// Diagnostic label ("client-><addr>" / "accept@<addr>"), built on
   /// demand — the connect path stays free of per-peer string assembly.
@@ -76,18 +59,13 @@ class NetPeer : public std::enable_shared_from_this<NetPeer> {
  private:
   friend class Network;
 
-  NetPeer(Network& net, std::uint64_t seq,
-          std::shared_ptr<const std::string> address, bool client_side)
-      : net_(net),
-        seq_(seq),
-        address_(std::move(address)),
-        client_side_(client_side) {}
+  NetPeer(Network& net, std::shared_ptr<const std::string> address,
+          bool client_side)
+      : net_(net), address_(std::move(address)), client_side_(client_side) {}
 
   Network& net_;
-  std::uint64_t seq_;  // creation order; the drain sort key
   std::shared_ptr<const std::string> address_;  // shared with the listener
   bool client_side_;
-  std::uint32_t lane_ = 0;  // delivery lane (see SetLane)
   std::weak_ptr<NetPeer> remote_;
   ReceiveHandler on_receive_;
 };
@@ -95,8 +73,9 @@ class NetPeer : public std::enable_shared_from_this<NetPeer> {
 /// Connection factory + message scheduler.
 class Network {
  public:
-  explicit Network(Simulator& simulator, SimTime one_way_latency = 20 * kMillisecond);
-  ~Network();
+  explicit Network(Simulator& simulator,
+                   SimTime one_way_latency = 20 * kMillisecond)
+      : simulator_(simulator), latency_(one_way_latency) {}
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -119,31 +98,20 @@ class Network {
   support::Status Unlisten(const std::string& address);
 
   /// Fault injection: while down, Send() returns kUnavailable.
-  void SetLinkUp(bool up) { link_up_.store(up, std::memory_order_relaxed); }
-  bool link_up() const { return link_up_.load(std::memory_order_relaxed); }
+  void SetLinkUp(bool up) { link_up_ = up; }
+  bool link_up() const { return link_up_; }
 
   SimTime latency() const { return latency_; }
-  /// Also re-clamps the simulator's conservative-window lookahead: the
-  /// one-way latency is this network's minimum cross-lane notice.
-  void SetLatency(SimTime latency);
+  void SetLatency(SimTime latency) { latency_ = latency; }
 
-  /// The simulator driving this network (components that stage work for
-  /// the simulation thread — e.g. the server's ack inboxes — schedule
-  /// their flush events through it).
+  /// The simulator driving this network (components that defer work —
+  /// e.g. the server's ack flush — schedule their events through it).
   Simulator& simulator() const { return simulator_; }
 
-  std::uint64_t messages_delivered() const {
-    return messages_delivered_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t messages_delivered() const { return messages_delivered_; }
 
  private:
   friend class NetPeer;
-
-  struct StagedSend {
-    std::uint64_t peer_seq;  // sending peer; deterministic drain order
-    std::shared_ptr<NetPeer> remote;
-    support::SharedBytes message;
-  };
 
   struct Listener {
     AcceptHandler on_accept;
@@ -152,31 +120,11 @@ class Network {
     std::shared_ptr<const std::string> address;
   };
 
-  /// Moves every staged send into the simulator's event queue (simulation
-  /// thread only; registered as the simulator's drain hook).
-  void DrainStagedSends();
-
-  /// Schedules delivery of `message` into `remote` at Now() + latency
-  /// (simulation thread only).
-  void ScheduleDelivery(std::shared_ptr<NetPeer> remote, support::SharedBytes message);
-
   Simulator& simulator_;
   SimTime latency_;
-  std::atomic<bool> link_up_{true};
+  bool link_up_ = true;
   std::unordered_map<std::string, Listener> listeners_;
-  /// Atomic: delivery events fire concurrently on worker lanes.
-  std::atomic<std::uint64_t> messages_delivered_{0};
-  std::uint64_t next_peer_seq_ = 0;
-  std::uint64_t drain_hook_ = 0;
-  std::thread::id sim_thread_ = std::this_thread::get_id();
-
-  std::mutex staged_mutex_;
-  std::vector<StagedSend> staged_;
-  /// Drained batches recycle their capacity through here, so steady-state
-  /// staging allocates no vectors (the node pool of the send path).
-  std::vector<StagedSend> staged_spare_;
-  /// Reused drain-side batch (capacity persists across drains).
-  std::vector<StagedSend> drain_batch_;
+  std::uint64_t messages_delivered_ = 0;
 };
 
 }  // namespace dacm::sim

@@ -1,7 +1,6 @@
 #include "support/crc.hpp"
 
 #include <array>
-#include <atomic>
 
 #include "support/bytes.hpp"
 
@@ -210,22 +209,20 @@ std::uint32_t CrcBodyResolveFirst(std::uint32_t state, const std::uint8_t* p,
                                   std::size_t n);
 
 // One-time runtime dispatch: the pointer starts at a resolver trampoline
-// that detects the CPU, installs the best body, and tail-runs it.  Atomic
-// (relaxed) because concurrent first calls from deploy workers may both
-// store the — identical — resolved pointer.
-std::atomic<CrcBodyFn> g_crc_body{&CrcBodyResolveFirst};
+// that detects the CPU, installs the best body, and tail-runs it.
+CrcBodyFn g_crc_body = &CrcBodyResolveFirst;
 
 std::uint32_t CrcBodyResolveFirst(std::uint32_t state, const std::uint8_t* p,
                                   std::size_t n) {
   CrcBodyFn body = ResolveBody();
-  g_crc_body.store(body, std::memory_order_relaxed);
+  g_crc_body = body;
   return body(state, p, n);
 }
 
 }  // namespace
 
 std::uint32_t Crc32Update(std::uint32_t crc, std::span<const std::uint8_t> data) {
-  return ~g_crc_body.load(std::memory_order_relaxed)(~crc, data.data(), data.size());
+  return ~g_crc_body(~crc, data.data(), data.size());
 }
 
 std::uint32_t Crc32(std::span<const std::uint8_t> data) {

@@ -179,7 +179,6 @@ Status RecordWriter::Append(std::span<const std::uint8_t> payload) {
   if (payload.size() >= kMaxPayload) {
     return InvalidArgument("record payload too large");
   }
-  std::lock_guard lock(mutex_);
   frame_.resize(kFrameHeader + payload.size());
   StoreLeU32(frame_.data(), static_cast<std::uint32_t>(payload.size()));
   StoreLeU32(frame_.data() + 4, Crc32(payload));
@@ -206,20 +205,7 @@ Status RecordWriter::Append(std::span<const std::uint8_t> payload) {
   return OkStatus();
 }
 
-Status RecordWriter::Flush() {
-  std::lock_guard lock(mutex_);
-  return sink_.Flush();
-}
-
-std::uint64_t RecordWriter::bytes_appended() const {
-  std::lock_guard lock(mutex_);
-  return bytes_appended_;
-}
-
-void RecordWriter::ResetByteCount() {
-  std::lock_guard lock(mutex_);
-  bytes_appended_ = 0;
-}
+Status RecordWriter::Flush() { return sink_.Flush(); }
 
 // --- CheckpointWriter --------------------------------------------------------------
 

@@ -23,7 +23,6 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -162,37 +161,22 @@ class FaultingSink : public RecordSink {
 ///    device, a Rotate never swaps, and the clock goes dead — every
 ///    later op fails without touching the inner sink, modelling power
 ///    loss at exactly that boundary until the harness kills the server.
-///
-/// Thread-safe: status paragraphs are appended from shard workers.
 class CrashClock {
  public:
   /// Timestamp source for op-time recording (e.g. the simulator clock).
-  void SetNowFn(std::function<std::uint64_t()> fn) {
-    std::lock_guard lock(mutex_);
-    now_fn_ = std::move(fn);
-  }
+  void SetNowFn(std::function<std::uint64_t()> fn) { now_fn_ = std::move(fn); }
 
   /// Makes op number `crash_at` (1-based) the crash point; an armed
   /// Append first leaks a `tear_bytes` torn prefix into the inner sink.
   void Arm(std::uint64_t crash_at, std::size_t tear_bytes = 0) {
-    std::lock_guard lock(mutex_);
     crash_at_ = crash_at;
     tear_bytes_ = tear_bytes;
   }
 
-  std::uint64_t ops() const {
-    std::lock_guard lock(mutex_);
-    return ops_;
-  }
-  bool dead() const {
-    std::lock_guard lock(mutex_);
-    return dead_;
-  }
+  std::uint64_t ops() const { return ops_; }
+  bool dead() const { return dead_; }
   /// One timestamp per op, in op order (recording mode with a now-fn).
-  std::vector<std::uint64_t> op_times() const {
-    std::lock_guard lock(mutex_);
-    return op_times_;
-  }
+  std::vector<std::uint64_t> op_times() const { return op_times_; }
 
  private:
   friend class CrashPointSink;
@@ -201,7 +185,6 @@ class CrashClock {
   /// armed Append may still write (SIZE_MAX = not the crash point, op
   /// proceeds normally); sets `*dead` when the op must fail.
   std::size_t Tick(bool* dead) {
-    std::lock_guard lock(mutex_);
     ++ops_;
     if (now_fn_) op_times_.push_back(now_fn_());
     if (dead_) {
@@ -217,7 +200,6 @@ class CrashClock {
     return SIZE_MAX;
   }
 
-  mutable std::mutex mutex_;
   std::uint64_t ops_ = 0;
   std::uint64_t crash_at_ = 0;  // 0 = recording mode, never crashes
   std::size_t tear_bytes_ = 0;
@@ -246,8 +228,7 @@ class CrashPointSink : public RecordSink {
 };
 
 /// Frames payloads into a RecordSink ([len][crc][payload], one sink
-/// Append per record).  Thread-safe: the status DB appends from shard
-/// workers concurrently.
+/// Append per record).
 ///
 /// `sync_every_n_frames` is the durability knob: every Nth successfully
 /// appended frame is followed by a RecordSink::Sync() (for FileSink:
@@ -264,16 +245,15 @@ class RecordWriter {
   /// Frame bytes (headers included) successfully appended since
   /// construction or the last ResetByteCount() — the compaction
   /// watermark's input.
-  std::uint64_t bytes_appended() const;
+  std::uint64_t bytes_appended() const { return bytes_appended_; }
   /// Restarts the byte accounting (call after a checkpoint rotation).
-  void ResetByteCount();
+  void ResetByteCount() { bytes_appended_ = 0; }
 
  private:
   RecordSink& sink_;
   const std::size_t sync_every_n_frames_;
-  std::size_t frames_since_sync_ = 0;   // guarded by mutex_
-  std::uint64_t bytes_appended_ = 0;    // guarded by mutex_
-  mutable std::mutex mutex_;
+  std::size_t frames_since_sync_ = 0;
+  std::uint64_t bytes_appended_ = 0;
   Bytes frame_;  // reused scratch for the header+payload copy
 };
 

@@ -184,8 +184,8 @@ void Tracer::ExportChromeJson(std::string& out) const {
 
   out += "{\"traceEvents\":[";
   bool first = true;
-  // Track names up front so Perfetto labels the sim thread and each
-  // shard worker; deterministic because live_lanes is lane-ordered.
+  // Track names up front so Perfetto labels the sim lane and each shard;
+  // deterministic because live_lanes is lane-ordered.
   for (std::uint32_t lane_index : live_lanes) {
     if (!first) out += ',';
     first = false;

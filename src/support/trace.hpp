@@ -11,21 +11,18 @@
 // of the same scenario therefore export byte-identical JSON, which makes
 // traces diffable regression artifacts.
 //
-// Threading: one ring per *lane*, exactly one writer per lane at any
-// moment.  Lane 0 is the simulation thread; lane (shard + 1) is whichever
-// pool worker currently owns that shard index inside a ParallelFor (each
-// index is handed to one worker, and the pool's barrier orders successive
-// ParallelFors).  Writers never lock: recording is a bounds-checked slot
-// store plus a lane-local sequence bump.  When a ring wraps, the oldest
-// events are overwritten (newest are kept) and the loss is reported via
-// dropped().
+// Lanes: one ring per *lane*.  Lane 0 carries the simulator and the
+// server-wide events; lane (shard + 1) carries one server shard's
+// per-vehicle events.  Threading: exactly one writer per lane at any
+// moment (the program writes every lane from the simulation thread).
+// Writers never lock: recording is a bounds-checked slot store plus a
+// lane-local sequence bump.  When a ring wraps, the oldest events are
+// overwritten (newest are kept) and the loss is reported via dropped().
 //
 // Export merges all lanes by (timestamp, lane, per-lane sequence) — a
 // total order that is stable across runs because every component is.
 // Events are rendered with pid 1 and tid = lane, so Perfetto shows the
-// sim thread and each shard worker as separate tracks; the upcoming
-// parallel-simulator-lanes work gets its merge-barrier visualization
-// from the same mechanism.
+// sim lane and each shard as separate tracks.
 //
 // Enabled state is one relaxed atomic bool checked at every record site:
 // spans can be globally disabled (the acceptance kill switch), and a
@@ -69,8 +66,8 @@ class Tracer {
   static Tracer& Instance();
 
   /// Starts recording: drops any previous rings, sets the per-lane ring
-  /// capacity and flips the enabled flag.  Call only while no workers
-  /// are tracing (setup, between campaigns).
+  /// capacity and flips the enabled flag.  Call only while nothing is
+  /// tracing (setup, between campaigns).
   void Enable(std::size_t events_per_lane = kDefaultEventsPerLane);
   /// Stops recording; recorded events stay exportable.
   void Disable();

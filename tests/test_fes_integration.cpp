@@ -325,9 +325,8 @@ TEST(FleetTest, CampaignBatchReachesRealEcmsAndInstalls) {
 
 TEST(FleetTest, ShardedCampaignIsDeterministicAcrossRuns) {
   // Two identical sharded campaigns must produce identical event traces:
-  // worker scheduling may differ, but the drain barrier canonicalizes the
-  // network order, so delivered-message counts and final states match a
-  // fresh run exactly.
+  // delivered-message counts, final states and the ack completion order
+  // match a fresh run exactly.
   auto run_once = [](std::size_t shards) {
     sim::Simulator simulator;
     sim::Network network(simulator, sim::kMillisecond);

@@ -19,8 +19,8 @@
 //    catalog, and — the acceptance bar — produces a Describe()
 //    fingerprint byte-identical to an uninterrupted run.
 //
-// Labelled `recovery` in ctest; the TSan CI job runs this label too, to
-// keep the status-DB writes from shard workers race-clean.
+// Labelled `recovery` in ctest; the ASan/UBSan and TSan CI jobs run this
+// label too.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -5,6 +5,10 @@
 // so every server decision is observable without a full vehicle stack.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+
 #include "fes/appgen.hpp"
 #include "fes/fleet.hpp"
 #include "fes/testbed.hpp"
@@ -455,6 +459,55 @@ struct CampaignFixture : ::testing::Test {
     return fes::MakeSyntheticApp(params);
   }
 };
+
+/// The process's OS thread count, from /proc/self/status (0 if absent).
+std::size_t ProcessThreadCount() {
+  std::FILE* status = std::fopen("/proc/self/status", "r");
+  if (status == nullptr) return 0;
+  char line[128];
+  std::size_t threads = 0;
+  while (std::fgets(line, sizeof(line), status) != nullptr) {
+    if (std::strncmp(line, "Threads:", 8) == 0) {
+      threads = std::strtoull(line + 8, nullptr, 10);
+      break;
+    }
+  }
+  std::fclose(status);
+  return threads;
+}
+
+TEST(ServerThreadingTest, ShardedCampaignSpawnsNoThreads) {
+  // Shards are a data partition: a 4-shard server runs its whole
+  // campaign on the calling thread.
+  const std::size_t before = ProcessThreadCount();
+  if (before == 0) GTEST_SKIP() << "no /proc/self/status";
+  {
+    sim::Simulator simulator;
+    sim::Network network{simulator, sim::kMillisecond};
+    TrustedServer server{network, "srv:443", ServerOptions{4}};
+    ASSERT_TRUE(server.Start().ok());
+    ASSERT_TRUE(server.UploadVehicleModel(fes::MakeRpiTestbedConf()).ok());
+    const UserId alice = *server.CreateUser("alice");
+    fes::ScriptedFleetOptions options;
+    options.vehicle_count = 16;
+    fes::ScriptedFleet fleet(simulator, network, server, options);
+    ASSERT_TRUE(fleet.BindAndConnect(alice).ok());
+    fes::SyntheticAppParams params;
+    params.name = "app";
+    params.vehicle_model = "rpi-testbed";
+    params.plugin_count = 2;
+    params.target_ecu = 1;
+    ASSERT_TRUE(server.UploadApp(fes::MakeSyntheticApp(params)).ok());
+    auto report = server.DeployCampaign(alice, "app", fleet.vins());
+    ASSERT_TRUE(report.ok());
+    simulator.Run();
+    EXPECT_EQ(server.stats().deploys_ok, 16u);
+    EXPECT_EQ(*server.AppState(fleet.vins().back(), "app"),
+              InstallState::kInstalled);
+    EXPECT_EQ(ProcessThreadCount(), before);
+  }
+  EXPECT_EQ(ProcessThreadCount(), before);
+}
 
 TEST_F(CampaignFixture, CampaignInstallsWholeFleetWithOneBatchPerVehicle) {
   ASSERT_TRUE(server.UploadApp(FleetApp("app", /*plugins=*/3)).ok());

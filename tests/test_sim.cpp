@@ -179,112 +179,19 @@ TEST(SimulatorTest, EventNodePoolStopsGrowingUnderChurn) {
   EXPECT_EQ(simulator.AllocatedEventNodes(), 256u);
 }
 
-// --- drain hooks ---------------------------------------------------------------
-
-TEST(SimulatorTest, DrainHookRemovalDuringDrainIsSafe) {
-  // A hook that removes itself (and a peer) mid-drain must not derail the
-  // pass: remaining hooks still run, and later drains skip the removed.
-  Simulator simulator;
-  int a_runs = 0, b_runs = 0, c_runs = 0;
-  std::uint64_t a = 0, b = 0;
-  a = simulator.AddDrainHook([&]() { ++a_runs; });
-  b = simulator.AddDrainHook([&]() {
-    ++b_runs;
-    simulator.RemoveDrainHook(b);  // self-removal
-    simulator.RemoveDrainHook(a);  // peer removal, already-visited slot
-  });
-  simulator.AddDrainHook([&]() { ++c_runs; });
-  simulator.DrainStaged();
-  EXPECT_EQ(a_runs, 1);
-  EXPECT_EQ(b_runs, 1);
-  EXPECT_EQ(c_runs, 1);
-  simulator.DrainStaged();
-  EXPECT_EQ(a_runs, 1);  // removed
-  EXPECT_EQ(b_runs, 1);  // removed
-  EXPECT_EQ(c_runs, 2);  // survived the compaction
-}
-
-TEST(SimulatorTest, DrainHookAddingHooksMidDrainIsSafe) {
-  // A hook that registers more hooks while a pass runs must not invalidate
-  // its own captures (additions are deferred, so the hook vector cannot
-  // reallocate under the executing closure).  The capture is heap-backed
-  // so ASan would flag a relocation-induced use-after-free.
-  Simulator simulator;
-  auto tag = std::make_shared<std::string>("still-alive");
-  int added_runs = 0;
-  std::string observed;
-  simulator.AddDrainHook([&, tag]() {
-    if (!observed.empty()) return;  // only seed on the first pass
-    for (int i = 0; i < 64; ++i) {
-      simulator.AddDrainHook([&added_runs]() { ++added_runs; });
-    }
-    observed = *tag;  // reads the capture after the additions
-  });
-  simulator.DrainStaged();
-  EXPECT_EQ(observed, "still-alive");
-  EXPECT_EQ(added_runs, 0);  // deferred: new hooks join from the next pass
-  simulator.DrainStaged();
-  EXPECT_EQ(added_runs, 64);
-}
-
-TEST(SimulatorTest, DrainHookAddedAndRemovedWithinOnePassNeverRuns) {
-  Simulator simulator;
-  int runs = 0;
-  std::uint64_t doomed = 0;
-  bool seeded = false;
-  simulator.AddDrainHook([&]() {
-    if (seeded) return;
-    seeded = true;
-    doomed = simulator.AddDrainHook([&runs]() { ++runs; });
-    simulator.RemoveDrainHook(doomed);  // still pending; must be dropped
-  });
-  simulator.DrainStaged();
-  simulator.DrainStaged();
-  EXPECT_EQ(runs, 0);
-}
-
-TEST(SimulatorTest, DrainHookSwapAndPopKeepsHandlesValid) {
-  // Removal swaps the last hook into the vacated slot; the moved hook's
-  // handle must keep resolving (the O(1) index map follows the swap).
-  Simulator simulator;
-  int runs[3] = {0, 0, 0};
-  const std::uint64_t h0 = simulator.AddDrainHook([&]() { ++runs[0]; });
-  simulator.AddDrainHook([&]() { ++runs[1]; });
-  const std::uint64_t h2 = simulator.AddDrainHook([&]() { ++runs[2]; });
-  simulator.RemoveDrainHook(h0);  // moves h2 into slot 0
-  simulator.DrainStaged();
-  EXPECT_EQ(runs[0], 0);
-  EXPECT_EQ(runs[1], 1);
-  EXPECT_EQ(runs[2], 1);
-  simulator.RemoveDrainHook(h2);  // must remove the *moved* hook
-  simulator.DrainStaged();
-  EXPECT_EQ(runs[1], 2);
-  EXPECT_EQ(runs[2], 1);
-  simulator.RemoveDrainHook(h2);  // double-removal is a no-op
-}
-
-TEST(SimulatorTest, DrainHookSchedulingBehindAdvancedCursorStaysOrdered) {
-  // A bounded run can advance the wheel cursor past Now() (outer-level
-  // cascade) before the post-run drain stages new work near Now(); such
-  // events land in the backlog and must still fire in global time order.
+TEST(SimulatorTest, ScheduleAfterRunUntilCascadeStaysOrdered) {
+  // RunUntil(66) cascades the [64,127] wheel window (cursor -> 64) but
+  // fires nothing; work scheduled afterwards, just behind the next due
+  // event, must still fire in global time order.
   Simulator simulator;
   std::vector<SimTime> fired;
-  simulator.ScheduleAt(70, [&]() { fired.push_back(simulator.Now()); });
-  simulator.ScheduleAt(74, [&]() { fired.push_back(simulator.Now()); });
-  int drains = 0;
-  const std::uint64_t hook = simulator.AddDrainHook([&]() {
-    // Stage on the second pass only: the first runs before any cursor
-    // advance (at the head of RunUntil), the second after the cascade.
-    if (++drains != 2) return;
-    simulator.ScheduleAt(simulator.Now() + 1,
-                         [&]() { fired.push_back(simulator.Now()); });
-  });
-  // RunUntil(66) cascades the [64,127] window (cursor -> 64) but fires
-  // nothing; the drain hook then schedules at time 1 — behind the cursor.
+  auto record = [&]() { fired.push_back(simulator.Now()); };
+  simulator.ScheduleAt(70, record);
+  simulator.ScheduleAt(74, record);
   simulator.RunUntil(66);
+  simulator.ScheduleAt(simulator.Now() + 1, record);
   simulator.Run();
-  simulator.RemoveDrainHook(hook);
-  EXPECT_EQ(fired, (std::vector<SimTime>{1, 70, 74}));
+  EXPECT_EQ(fired, (std::vector<SimTime>{67, 70, 74}));
 }
 
 // --- CAN bus -----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 // Unit tests for the support library: Status/Result, byte serialization,
-// CRC, fixed-capacity containers, string utilities, strong ids, and the
-// deploy worker pool.
+// CRC, fixed-capacity containers, string utilities, strong ids, inline
+// callbacks, shared buffers and the logger.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +20,6 @@
 #include "support/shared_bytes.hpp"
 #include "support/status.hpp"
 #include "support/string_util.hpp"
-#include "support/thread_pool.hpp"
 
 namespace dacm::support {
 namespace {
@@ -479,55 +478,6 @@ TEST(StrongIdTest, Hashable) {
   EXPECT_EQ(map.at(FooId(5)), 50);
 }
 
-// --- ThreadPool -------------------------------------------------------------------
-
-TEST(ThreadPoolTest, ZeroWorkersRunInline) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 0u);
-  std::vector<int> hits(16, 0);
-  const auto caller = std::this_thread::get_id();
-  pool.ParallelFor(hits.size(), [&](std::size_t i) {
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-    hits[i] = 1;
-  });
-  EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), 16);
-}
-
-TEST(ThreadPoolTest, EveryIndexRunsExactlyOnce) {
-  ThreadPool pool(3);
-  for (int round = 0; round < 50; ++round) {
-    std::vector<std::atomic<int>> hits(17);
-    pool.ParallelFor(hits.size(),
-                     [&](std::size_t i) { hits[i].fetch_add(1); });
-    // The barrier has returned: results must be fully visible.
-    for (std::size_t i = 0; i < hits.size(); ++i) {
-      ASSERT_EQ(hits[i].load(), 1) << "round " << round << " index " << i;
-    }
-  }
-}
-
-TEST(ThreadPoolTest, UnevenWorkStillCompletes) {
-  ThreadPool pool(4);
-  std::atomic<std::uint64_t> sum{0};
-  pool.ParallelFor(64, [&](std::size_t i) {
-    // One straggler among cheap tasks exercises the drain wait.
-    if (i == 0) std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    sum.fetch_add(i);
-  });
-  EXPECT_EQ(sum.load(), 64u * 63u / 2);
-}
-
-TEST(ThreadPoolTest, EmptyAndSingleItemJobs) {
-  ThreadPool pool(2);
-  pool.ParallelFor(0, [&](std::size_t) { FAIL() << "must not run"; });
-  int runs = 0;
-  pool.ParallelFor(1, [&](std::size_t i) {
-    EXPECT_EQ(i, 0u);
-    ++runs;
-  });
-  EXPECT_EQ(runs, 1);
-}
-
 // --- InplaceFunction ------------------------------------------------------------
 
 TEST(InplaceFunctionTest, InvokesSmallCapturesInline) {
@@ -641,10 +591,10 @@ TEST(LogTest, EnabledIsALevelThresholdCheck) {
   EXPECT_FALSE(Log::Enabled(LogLevel::kError));
 }
 
-// Enabled() is a single relaxed atomic load (deploy workers hit disabled
-// DACM_LOG sites in their hot loops), so level changes and sink swaps
-// must be safe while other threads are logging.  Under TSan this test is
-// the race detector for the logger's level/sink paths.
+// Enabled() is a single relaxed atomic load (hot loops hit disabled
+// DACM_LOG sites), and the logger is process-wide, so level changes and
+// sink swaps must be safe while other threads are logging.  Under TSan
+// this test is the race detector for the logger's level/sink paths.
 TEST(LogTest, SinkSwapsAreSafeWhileWorkersLog) {
   Log::SetLevel(LogLevel::kInfo);
   std::atomic<std::uint64_t> sink_a_lines{0};

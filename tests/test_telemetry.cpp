@@ -8,12 +8,6 @@
 //     stream carries sim-time only, never wall clock;
 //   * a recovery run's trace holds exactly one `recovery.replay` span
 //     whose record counts match the replayed log.
-//
-// The parallel-lane PR re-runs the faulted-campaign bar on the lane
-// engine: the conservative windows preserve sim-time semantics exactly,
-// so the fleet fingerprint must match across lane counts, and at a fixed
-// lane count the trace (now carrying sim.window / sim.barrier events)
-// must still be byte-identical between seeded runs.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -28,7 +22,6 @@
 #include "support/metrics.hpp"
 #include "support/storage.hpp"
 #include "support/trace.hpp"
-#include "test_util.hpp"
 
 namespace dacm {
 namespace {
@@ -152,7 +145,7 @@ TEST(TracerTest, ExportIsStableAndCarriesArgs) {
   EXPECT_NE(a.find("\"events\":7"), std::string::npos);
   EXPECT_NE(a.find("\"ph\":\"i\",\"ts\":120,\"s\":\"t\""), std::string::npos);
   EXPECT_NE(a.find("\"vin\":\"VIN-1\""), std::string::npos);
-  // Lane metadata names the sim thread and the first shard worker.
+  // Lane metadata names the sim lane and the first shard.
   EXPECT_NE(a.find("\"args\":{\"name\":\"sim\"}"), std::string::npos);
   EXPECT_NE(a.find("\"args\":{\"name\":\"shard-0\"}"), std::string::npos);
 }
@@ -194,19 +187,9 @@ struct TelemetryRig {
   std::unique_ptr<fes::ScriptedFleet> fleet;
 
   explicit TelemetryRig(std::size_t vehicles, std::size_t shards = 4,
-                        support::RecordSink* status_sink = nullptr,
-                        std::size_t lanes = 1)
+                        support::RecordSink* status_sink = nullptr)
       : server(network, "srv:443",
                server::ServerOptions{shards, status_sink}) {
-    if (lanes > 1) {
-      sim::LaneOptions lane_options;
-      lane_options.lanes = lanes;
-      // Real workers regardless of the core count — the TSan job replays
-      // this rig at lanes=4.  The window lookahead comes from the
-      // network's 1 µs latency clamp.
-      lane_options.threads = lanes - 1;
-      simulator.ConfigureLanes(lane_options);
-    }
     EXPECT_TRUE(server.Start().ok());
     EXPECT_TRUE(server.UploadVehicleModel(fes::MakeRpiTestbedConf()).ok());
     user = *server.CreateUser("ops");
@@ -242,13 +225,13 @@ struct FaultedCampaignResult {
 };
 
 /// One seeded 1k-vehicle faulted campaign (20% offline churn + two link
-/// flaps) run under an enabled tracer at `lanes` simulator lanes.
-FaultedCampaignResult SeededFaultedCampaignTrace(std::size_t lanes) {
+/// flaps) run under an enabled tracer.
+FaultedCampaignResult SeededFaultedCampaignTrace() {
   auto& tracer = Tracer::Instance();
   tracer.Enable(/*events_per_lane=*/1u << 15);
   FaultedCampaignResult result;
   {
-    TelemetryRig rig(/*vehicles=*/1000, /*shards=*/4, nullptr, lanes);
+    TelemetryRig rig(/*vehicles=*/1000, /*shards=*/4);
     rig.UploadApp("maps");
     rig.fleet->MarkCampaignEpoch();
     sim::FaultScenario faults(rig.simulator, rig.network, /*seed=*/0x7E1E);
@@ -272,11 +255,8 @@ FaultedCampaignResult SeededFaultedCampaignTrace(std::size_t lanes) {
 }
 
 TEST(TelemetryIntegrationTest, SeededFaultedCampaignTracesAreByteIdentical) {
-  // DACM_SIM_LANES (the TSan CI job exports 4) replays this bar on the
-  // parallel engine.
-  const std::size_t lanes = testutil::LanesFromEnvOr(1);
-  const FaultedCampaignResult first = SeededFaultedCampaignTrace(lanes);
-  const FaultedCampaignResult second = SeededFaultedCampaignTrace(lanes);
+  const FaultedCampaignResult first = SeededFaultedCampaignTrace();
+  const FaultedCampaignResult second = SeededFaultedCampaignTrace();
   ASSERT_FALSE(first.trace.empty());
   // The flight recorder covers every layer: the campaign track, the wave
   // instants, per-vehicle round trips on the shard lanes, ack flushes and
@@ -296,32 +276,6 @@ TEST(TelemetryIntegrationTest, SeededFaultedCampaignTracesAreByteIdentical) {
                 .GetHistogram("dacm_fleet_time_to_install_us")
                 .Count(),
             1000u);
-}
-
-TEST(TelemetryIntegrationTest, SeededFaultedCampaignDeterministicAtFourLanes) {
-  const FaultedCampaignResult first = SeededFaultedCampaignTrace(4);
-  const FaultedCampaignResult second = SeededFaultedCampaignTrace(4);
-  ASSERT_FALSE(first.trace.empty());
-  // The lane engine adds its own flight-recorder tracks: per-lane
-  // conservative-window spans and merge-barrier instants.
-  EXPECT_NE(first.trace.find("\"name\":\"sim.window\""), std::string::npos);
-  EXPECT_NE(first.trace.find("\"name\":\"sim.barrier\""), std::string::npos);
-  // Byte-identical at a fixed lane count: window composition is a pure
-  // function of sim state, and window spans carry sim time only.
-  EXPECT_EQ(first.trace, second.trace);
-  EXPECT_EQ(first.fingerprint, second.fingerprint);
-}
-
-TEST(TelemetryIntegrationTest,
-     SeededFaultedCampaignFingerprintMatchesAcrossLaneCounts) {
-  // Conservative windows never reorder same-timestamp work across the
-  // serial ordering key, so the terminal fleet state cannot depend on the
-  // lane count.
-  const std::uint64_t serial = SeededFaultedCampaignTrace(1).fingerprint;
-  for (const std::size_t lanes : {std::size_t{2}, std::size_t{8}}) {
-    EXPECT_EQ(SeededFaultedCampaignTrace(lanes).fingerprint, serial)
-        << "lanes=" << lanes;
-  }
 }
 
 TEST(TelemetryIntegrationTest, RecoveryTraceHasExactlyOneReplaySpan) {

@@ -58,22 +58,6 @@ inline std::uint64_t PropertySeed() {
                                     << ::dacm::testutil::PropertySeed());   \
   ::dacm::sim::Rng rng(::dacm::testutil::PropertySeed())
 
-/// Simulator lane count for suites that honor DACM_SIM_LANES (the TSan
-/// CI job exports 4 so deterministic suites replay on the parallel lane
-/// engine).  Unset/empty/zero falls back; values clamp to the engine's
-/// lane ceiling.
-inline std::size_t LanesFromEnvOr(std::size_t fallback) {
-  if (const char* env = std::getenv("DACM_SIM_LANES"); env && *env != '\0') {
-    const auto lanes = static_cast<std::size_t>(std::strtoull(env, nullptr, 0));
-    if (lanes >= 1) {
-      return lanes > sim::Simulator::kMaxSimLanes
-                 ? sim::Simulator::kMaxSimLanes
-                 : lanes;
-    }
-  }
-  return fallback;
-}
-
 /// In-place Fisher-Yates shuffle driven by the deterministic Rng.
 template <typename T>
 void Shuffle(sim::Rng& rng, std::vector<T>& values) {

@@ -24,21 +24,16 @@ import sys
 # either side is reported but never fatal (matrices evolve).  The optional
 # fifth element compares the current benchmark against a *different*
 # benchmark in the baseline file — used to hold a new variant (e.g. the
-# durable campaign) to the committed numbers of the path it wraps.
+# durable campaign) to the committed numbers of the path it wraps, and to
+# map a renamed benchmark onto its committed name (BM_FleetCampaign lost
+# its `lanes` argument; the baseline still names its rows `.../lanes:1/...`).
 KEY_METRICS = [
-    ("bench_fleet", "BM_FleetCampaign/shards:1/fleet:1000/lanes:1/real_time",
-     "items_per_second", "campaign deploys/s (1 shard, 1k fleet)"),
-    ("bench_fleet", "BM_FleetCampaign/shards:1/fleet:1000/lanes:1/real_time",
-     "serial_sim_fraction", "serial sim fraction (1 shard, 1k fleet)"),
-    # The parallel lane engine: deploys/s with the simulator split across
-    # four conservative-window lanes, and the wall-clock p99 a worker lane
-    # spends waiting at the merge barrier.  The stall quantile is runner
-    # wall time (the one deliberately nondeterministic sim metric), so the
-    # warn-only tolerance is doing real work here.
-    ("bench_fleet", "BM_FleetCampaign/shards:1/fleet:1000/lanes:4/real_time",
-     "items_per_second", "campaign deploys/s (1 shard, 1k, 4 lanes)"),
-    ("bench_fleet", "BM_FleetCampaign/shards:1/fleet:1000/lanes:4/real_time",
-     "barrier_stall_p99_us", "lane barrier-stall p99 µs (1 shard, 4 lanes)"),
+    ("bench_fleet", "BM_FleetCampaign/shards:1/fleet:1000/real_time",
+     "items_per_second", "campaign deploys/s (1 shard, 1k fleet)",
+     "BM_FleetCampaign/shards:1/fleet:1000/lanes:1/real_time"),
+    ("bench_fleet", "BM_FleetCampaign/shards:1/fleet:1000/real_time",
+     "serial_sim_fraction", "serial sim fraction (1 shard, 1k fleet)",
+     "BM_FleetCampaign/shards:1/fleet:1000/lanes:1/real_time"),
     # Journal overhead: the durable campaign (write-ahead status DB +
     # campaign journal) tracked against its own committed numbers.  It
     # used to be paired against the memory-only campaign, but the
@@ -68,15 +63,18 @@ KEY_METRICS = [
      "time_to_serviceable_ms", "time-to-serviceable ms (1k, checkpointed)"),
     # Tail latencies from the log2 histograms (the telemetry PR): the
     # sim-time push->ack round trip and vehicle deploy p99 at the tracked
-    # shape, the wall-time parallel ack-flush and WAL-fsync p99, and the
-    # faulted convergence tail.  The sim-time ones are deterministic, so
-    # any drift is a real pipeline change, not runner noise.
-    ("bench_fleet", "BM_FleetCampaign/shards:1/fleet:1000/lanes:1/real_time",
-     "vehicle_p99_us", "per-vehicle deploy p99 µs (1 shard, 1k)"),
-    ("bench_fleet", "BM_FleetCampaign/shards:1/fleet:1000/lanes:1/real_time",
-     "roundtrip_p99_ms", "push->ack round-trip p99 sim-ms (1 shard, 1k)"),
-    ("bench_fleet", "BM_FleetCampaign/shards:4/fleet:1000/lanes:1/real_time",
-     "ack_flush_p99_us", "parallel ack-flush p99 µs (4 shards, 1k)"),
+    # shape, the wall-time ack-flush and WAL-fsync p99, and the faulted
+    # convergence tail.  The sim-time ones are deterministic, so any drift
+    # is a real pipeline change, not runner noise.
+    ("bench_fleet", "BM_FleetCampaign/shards:1/fleet:1000/real_time",
+     "vehicle_p99_us", "per-vehicle deploy p99 µs (1 shard, 1k)",
+     "BM_FleetCampaign/shards:1/fleet:1000/lanes:1/real_time"),
+    ("bench_fleet", "BM_FleetCampaign/shards:1/fleet:1000/real_time",
+     "roundtrip_p99_ms", "push->ack round-trip p99 sim-ms (1 shard, 1k)",
+     "BM_FleetCampaign/shards:1/fleet:1000/lanes:1/real_time"),
+    ("bench_fleet", "BM_FleetCampaign/shards:4/fleet:1000/real_time",
+     "ack_flush_p99_us", "ack-flush p99 µs (4 shards, 1k)",
+     "BM_FleetCampaign/shards:4/fleet:1000/lanes:1/real_time"),
     ("bench_fleet", "BM_FleetDurableCampaign/shards:1/fleet:1000/real_time",
      "wal_fsync_p99_us", "WAL fsync p99 µs (1 shard, 1k, sync=64)"),
     ("bench_fleet",
@@ -92,8 +90,6 @@ KEY_METRICS = [
      "items_per_second", "event schedule+fire/s (wheel)"),
     ("bench_sim", "BM_WheelStorm/4096",
      "items_per_second", "same-timestamp storm events/s"),
-    ("bench_sim", "BM_StagedSendDrain/4096/real_time",
-     "items_per_second", "staged-send drain msgs/s"),
     ("bench_wire_codec", "BM_Crc32/16384",
      "bytes_per_second", "CRC-32 GB/s (16 KiB)"),
     ("bench_fig1_vm", "BM_VmSpinLoop/10000",

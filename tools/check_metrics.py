@@ -26,10 +26,6 @@ REQUIRED_FAMILIES = [
     ("dacm_campaigns_started_total", "counter", True),
     ("dacm_campaign_waves_total", "counter", True),
     ("dacm_sim_events_total", "counter", True),
-    # Lane-engine families: present on every run (they register at first
-    # ConfigureLanes/first window), observed only when lanes > 1.
-    ("dacm_sim_lane_events_total", "counter", False),
-    ("dacm_sim_barrier_stall_nanos", "histogram", False),
     ("dacm_server_durability_degraded", "gauge", False),
     ("dacm_deploy_roundtrip_us", "histogram", True),
     ("dacm_ack_flush_nanos", "histogram", True),
