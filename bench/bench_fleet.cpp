@@ -1,4 +1,4 @@
-// FLEET — sharded deploy pipeline and campaign orchestration at scale.
+// FLEET — deploy pipeline and campaign orchestration at scale.
 //
 // The paper's trusted server is "a central point of intelligence" for
 // every vehicle; the north-star scales it to fleet-wide OTA campaigns.
@@ -7,7 +7,7 @@
 //   * BM_FleetCampaign — the single-shot DeployCampaign pipeline
 //     (per-vehicle compatibility checks, PIC/PLC/ECC generation, package
 //     assembly, batched pushes) plus the simulated delivery and
-//     acknowledgement round, against shard count x fleet size.
+//     acknowledgement round, against fleet size.
 //   * BM_FleetDurableCampaign — the same rollout with the write-ahead
 //     status DB and campaign journal enabled; bench_compare.py holds its
 //     deploys/s against the memory-only campaign baseline.
@@ -29,18 +29,14 @@
 //     models, so the content-addressed package cache holds one batch per
 //     cohort).  Reports bytes_per_vehicle (converged VmRSS delta over the
 //     whole stack) and deploys_per_s; the CI bench-smoke job runs the
-//     100k-VIN default under an RSS budget, and --mega=4,10000000,24
+//     100k-VIN default under an RSS budget, and --mega=10000000,24
 //     drives the ten-million-VIN configuration.
 //
 // CLI overrides:
-//   --shards=1,4      comma list replacing the shard axis of every family
 //   --fleet=1000      comma list replacing the fleet-size axis
-//   --mega=1,100000,24  shards,fleet,models for BM_FleetMegaCampaign
+//   --mega=100000,24  fleet,models for BM_FleetMegaCampaign
 // Without overrides the default matrix below runs (kept small enough for
 // the CI bench-smoke job).
-//
-// Shards are a data partition on one thread, so the shard axis measures
-// partitioning cost, not parallelism.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -99,11 +95,11 @@ struct FleetBench {
   server::UserId user = server::UserId::Invalid();
   std::unique_ptr<fes::ScriptedFleet> fleet;
 
-  FleetBench(std::size_t shards, std::size_t fleet_size,
-             support::RecordSink* status_sink = nullptr,
-             std::size_t model_count = 1, std::size_t sync_every = 0)
+  explicit FleetBench(std::size_t fleet_size,
+                      support::RecordSink* status_sink = nullptr,
+                      std::size_t model_count = 1, std::size_t sync_every = 0)
       : server(network, "srv:443",
-               server::ServerOptions{shards, status_sink, sync_every}) {
+               server::ServerOptions{status_sink, sync_every}) {
     (void)server.Start();
     fes::ScriptedFleetOptions options;
     options.vehicle_count = fleet_size;
@@ -177,9 +173,8 @@ void ReportLatencies(benchmark::State& state, const support::Histogram& ns) {
 // Campaign deploys/s: batched pushes, including the simulated delivery +
 // acknowledgement round.
 void BM_FleetCampaign(benchmark::State& state) {
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  const auto fleet_size = static_cast<std::size_t>(state.range(1));
-  FleetBench bench(shards, fleet_size);
+  const auto fleet_size = static_cast<std::size_t>(state.range(0));
+  FleetBench bench(fleet_size);
   support::Histogram vehicle_ns;
   // Registry histograms fed by the instrumented pipeline; reset so the
   // quantiles cover exactly this benchmark's iterations.
@@ -224,7 +219,6 @@ void BM_FleetCampaign(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(fleet_size));
-  state.counters["shards"] = static_cast<double>(shards);
   state.counters["fleet"] = static_cast<double>(fleet_size);
   if (campaign_ns + sim_ns > 0) {
     const auto total = static_cast<double>(campaign_ns + sim_ns);
@@ -249,14 +243,13 @@ void BM_FleetCampaign(benchmark::State& state) {
 // exactly that pairing).  wal_bytes_per_vehicle reports the durable
 // footprint of one converged deploy.
 void BM_FleetDurableCampaign(benchmark::State& state) {
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  const auto fleet_size = static_cast<std::size_t>(state.range(1));
+  const auto fleet_size = static_cast<std::size_t>(state.range(0));
   support::MemorySink status_log;
   support::MemorySink journal_log;
   // Sync every 64 status frames: the power-loss durability cadence, and
   // the sample source for the WAL fsync histogram (a MemorySink Sync is
   // nearly free, so this prices the framing/locking around it, not disk).
-  FleetBench bench(shards, fleet_size, &status_log, /*model_count=*/1,
+  FleetBench bench(fleet_size, &status_log, /*model_count=*/1,
                    /*sync_every=*/64);
   server::CampaignEngine engine(bench.simulator, bench.server);
   server::CampaignJournal journal(journal_log);
@@ -286,7 +279,6 @@ void BM_FleetDurableCampaign(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(fleet_size));
-  state.counters["shards"] = static_cast<double>(shards);
   state.counters["fleet"] = static_cast<double>(fleet_size);
   if (state.iterations() > 0) {
     state.counters["wal_bytes_per_vehicle"] =
@@ -298,11 +290,11 @@ void BM_FleetDurableCampaign(benchmark::State& state) {
 }
 
 // The classic interactive path: one Deploy per vehicle, one push per
-// plug-in, all on the calling thread — the baseline the single-shard
-// campaign must not fall behind.
+// plug-in, all on the calling thread — the baseline the batched campaign
+// must not fall behind.
 void BM_FleetSyncDeploy(benchmark::State& state) {
   const auto fleet_size = static_cast<std::size_t>(state.range(0));
-  FleetBench bench(/*shards=*/1, fleet_size);
+  FleetBench bench(fleet_size);
   for (auto _ : state) {
     for (const std::string& vin : bench.fleet->vins()) {
       (void)bench.server.Deploy(bench.user, vin, "campaign");
@@ -342,7 +334,7 @@ void BM_RecoveryReplay(benchmark::State& state) {
   const bool checkpoint = state.range(1) != 0;
   support::MemorySink status_log;
   support::MemorySink journal_log;
-  FleetBench bench(/*shards=*/4, fleet_size, &status_log);
+  FleetBench bench(fleet_size, &status_log);
   server::CampaignEngine engine(bench.simulator, bench.server);
   server::CampaignJournal journal(journal_log);
   engine.AttachJournal(&journal);
@@ -376,9 +368,7 @@ void BM_RecoveryReplay(benchmark::State& state) {
     // A cold process: fresh simulator, fresh server, nothing uploaded.
     sim::Simulator simulator;
     sim::Network network{simulator, sim::kMicrosecond};
-    server::ServerOptions options;
-    options.shard_count = 4;
-    server::TrustedServer fresh(network, "srv-recover:1", options);
+    server::TrustedServer fresh(network, "srv-recover:1");
     if (!fresh.RecoverInstallDb(status_image).ok()) {
       state.SkipWithError("RecoverInstallDb failed");
       break;
@@ -412,13 +402,12 @@ void BM_RecoveryReplay(benchmark::State& state) {
 // pushes, re-pushes, ack flushes); the sim-time counters measure
 // convergence quality under the injected fault severity.
 void BM_FleetFaultCampaign(benchmark::State& state) {
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  const auto fleet_size = static_cast<std::size_t>(state.range(1));
-  const double churn = static_cast<double>(state.range(2)) / 100.0;
-  const auto flaps = static_cast<std::size_t>(state.range(3));
-  const double nack = static_cast<double>(state.range(4)) / 100.0;
+  const auto fleet_size = static_cast<std::size_t>(state.range(0));
+  const double churn = static_cast<double>(state.range(1)) / 100.0;
+  const auto flaps = static_cast<std::size_t>(state.range(2));
+  const double nack = static_cast<double>(state.range(3)) / 100.0;
 
-  FleetBench bench(shards, fleet_size);
+  FleetBench bench(fleet_size);
   server::CampaignEngine engine(bench.simulator, bench.server);
 
   server::RetryPolicy policy;
@@ -487,11 +476,10 @@ void BM_FleetFaultCampaign(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(fleet_size));
-  state.counters["shards"] = static_cast<double>(shards);
   state.counters["fleet"] = static_cast<double>(fleet_size);
-  state.counters["churn_pct"] = static_cast<double>(state.range(2));
+  state.counters["churn_pct"] = static_cast<double>(state.range(1));
   state.counters["link_flaps"] = static_cast<double>(flaps);
-  state.counters["nack_pct"] = static_cast<double>(state.range(4));
+  state.counters["nack_pct"] = static_cast<double>(state.range(3));
   const auto iterations = static_cast<double>(std::max<std::int64_t>(
       state.iterations(), 1));
   state.counters["waves_to_convergence"] = static_cast<double>(waves) / iterations;
@@ -524,11 +512,10 @@ void BM_FleetFaultCampaign(benchmark::State& state) {
 //   cache_live_payloads  payloads still pinned after convergence (0 when
 //                        every row released its envelope)
 void BM_FleetMegaCampaign(benchmark::State& state) {
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  const auto fleet_size = static_cast<std::size_t>(state.range(1));
-  const auto models = static_cast<std::size_t>(state.range(2));
+  const auto fleet_size = static_cast<std::size_t>(state.range(0));
+  const auto models = static_cast<std::size_t>(state.range(1));
   const std::size_t rss_before = CurrentRssBytes();
-  FleetBench bench(shards, fleet_size, nullptr, models);
+  FleetBench bench(fleet_size, nullptr, models);
   std::size_t rss_converged = 0;
   std::size_t cache_entries = 0, cache_live = 0;
   for (auto _ : state) {
@@ -553,7 +540,6 @@ void BM_FleetMegaCampaign(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(fleet_size));
-  state.counters["shards"] = static_cast<double>(shards);
   state.counters["fleet"] = static_cast<double>(fleet_size);
   state.counters["models"] = static_cast<double>(models);
   state.counters["deploys_per_s"] = benchmark::Counter(
@@ -569,7 +555,7 @@ void BM_FleetMegaCampaign(benchmark::State& state) {
   state.counters["cache_live_payloads"] = static_cast<double>(cache_live);
 }
 
-// --- registration (dynamic: the satellite --shards=/--fleet= overrides) ------
+// --- registration (dynamic: the --fleet= override) ---------------------------
 
 /// Parses a comma list of positive integers; empty on any malformed,
 /// non-positive or out-of-range token (the caller rejects empty lists).
@@ -598,7 +584,7 @@ std::vector<std::int64_t> ParseList(const std::string& csv) {
 
 // The WAL stage on its own: one status paragraph for the campaign app's
 // 4-plug-in x 8-port row, written the way the server's WriteStatus
-// writes it — the view encoder into a reused per-shard buffer, then one
+// writes it — the view encoder into a reused buffer, then one
 // CRC-framed StatusDb append to a MemorySink.  Time per iteration is ns
 // per paragraph; the end-to-end durable campaign numbers decompose
 // against it.
@@ -645,40 +631,28 @@ void BM_StatusAppend(benchmark::State& state) {
   state.counters["record_bytes"] = static_cast<double>(record.size());
 }
 
-void RegisterFleetBenchmarks(const std::vector<std::int64_t>& shard_list,
-                             const std::vector<std::int64_t>& fleet_list,
+void RegisterFleetBenchmarks(const std::vector<std::int64_t>& fleet_list,
                              bool overridden) {
   benchmark::RegisterBenchmark("BM_StatusAppend", BM_StatusAppend)
       ->Unit(benchmark::kNanosecond);
   auto* campaign =
       benchmark::RegisterBenchmark("BM_FleetCampaign", BM_FleetCampaign)
-          ->ArgNames({"shards", "fleet"})
+          ->ArgNames({"fleet"})
           ->UseRealTime()
           ->Unit(benchmark::kMillisecond);
-  if (overridden) {
-    for (std::int64_t fleet : fleet_list) {
-      for (std::int64_t shards : shard_list) campaign->Args({shards, fleet});
-    }
-  } else {
-    // 10k fleets only on the interesting shard counts.
-    for (std::int64_t shards : {1, 2, 4, 8}) campaign->Args({shards, 100});
-    for (std::int64_t shards : {1, 2, 4, 8}) campaign->Args({shards, 1000});
-    campaign->Args({1, 10000})->Args({4, 10000});
-  }
+  for (std::int64_t fleet : fleet_list) campaign->Arg(fleet);
 
   auto* durable = benchmark::RegisterBenchmark("BM_FleetDurableCampaign",
                                                BM_FleetDurableCampaign)
-                      ->ArgNames({"shards", "fleet"})
+                      ->ArgNames({"fleet"})
                       ->UseRealTime()
                       ->Unit(benchmark::kMillisecond);
   if (overridden) {
-    for (std::int64_t fleet : fleet_list) {
-      for (std::int64_t shards : shard_list) durable->Args({shards, fleet});
-    }
+    for (std::int64_t fleet : fleet_list) durable->Arg(fleet);
   } else {
-    // Only the shapes bench_compare tracks against the memory-only
+    // Only the shape bench_compare tracks against the memory-only
     // campaign — the durability delta, not another full matrix.
-    durable->Args({1, 1000})->Args({4, 1000});
+    durable->Arg(1000);
   }
 
   auto* sync = benchmark::RegisterBenchmark("BM_FleetSyncDeploy",
@@ -705,19 +679,15 @@ void RegisterFleetBenchmarks(const std::vector<std::int64_t>& shard_list,
 
   auto* faulted =
       benchmark::RegisterBenchmark("BM_FleetFaultCampaign", BM_FleetFaultCampaign)
-          ->ArgNames({"shards", "fleet", "churn_pct", "flaps", "nack_pct"})
+          ->ArgNames({"fleet", "churn_pct", "flaps", "nack_pct"})
           ->UseRealTime()
           ->Unit(benchmark::kMillisecond);
-  const std::vector<std::int64_t> fault_shards =
-      overridden ? shard_list : std::vector<std::int64_t>{1, 4};
   const std::vector<std::int64_t> fault_fleets =
       overridden ? fleet_list : std::vector<std::int64_t>{1000};
   for (std::int64_t fleet : fault_fleets) {
-    for (std::int64_t shards : fault_shards) {
-      faulted->Args({shards, fleet, 20, 2, 0});   // churn + flaps
-      faulted->Args({shards, fleet, 0, 0, 30});   // transient nack cohort
-      faulted->Args({shards, fleet, 20, 2, 10});  // the full matrix
-    }
+    faulted->Args({fleet, 20, 2, 0});   // churn + flaps
+    faulted->Args({fleet, 0, 0, 30});   // transient nack cohort
+    faulted->Args({fleet, 20, 2, 10});  // the full matrix
   }
 }
 
@@ -726,47 +696,42 @@ void RegisterMegaBenchmark(const std::vector<std::int64_t>& mega) {
   // memory question is answered by a single converged rollout (repeat
   // iterations would only re-measure the same resident set).
   benchmark::RegisterBenchmark("BM_FleetMegaCampaign", BM_FleetMegaCampaign)
-      ->ArgNames({"shards", "fleet", "models"})
+      ->ArgNames({"fleet", "models"})
       ->UseRealTime()
       ->Unit(benchmark::kMillisecond)
       ->Iterations(1)
-      ->Args({mega[0], mega[1], mega[2]});
+      ->Args({mega[0], mega[1]});
 }
 
 }  // namespace
 }  // namespace dacm::bench
 
 int main(int argc, char** argv) {
-  std::vector<std::int64_t> shards = {1, 2, 4, 8};
   std::vector<std::int64_t> fleets = {100, 1000, 10000};
-  std::vector<std::int64_t> mega = {1, 100000, 24};  // CI bench-smoke shape
+  std::vector<std::int64_t> mega = {100000, 24};  // CI bench-smoke shape
   bool overridden = false;
   std::vector<char*> passthrough;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--shards=", 0) == 0) {
-      shards = dacm::bench::ParseList(arg.substr(sizeof("--shards=") - 1));
-      overridden = true;
-    } else if (arg.rfind("--fleet=", 0) == 0) {
+    if (arg.rfind("--fleet=", 0) == 0) {
       fleets = dacm::bench::ParseList(arg.substr(sizeof("--fleet=") - 1));
       overridden = true;
     } else if (arg.rfind("--mega=", 0) == 0) {
       mega = dacm::bench::ParseList(arg.substr(sizeof("--mega=") - 1));
-      if (mega.size() != 3) mega.clear();
+      if (mega.size() != 2) mega.clear();
     } else {
       passthrough.push_back(argv[i]);
     }
   }
-  if (shards.empty() || fleets.empty()) {
-    std::fprintf(stderr,
-                 "--shards=/--fleet= need a comma list of positive integers\n");
+  if (fleets.empty()) {
+    std::fprintf(stderr, "--fleet= needs a comma list of positive integers\n");
     return 1;
   }
   if (mega.empty()) {
-    std::fprintf(stderr, "--mega= needs shards,fleet,models\n");
+    std::fprintf(stderr, "--mega= needs fleet,models\n");
     return 1;
   }
-  dacm::bench::RegisterFleetBenchmarks(shards, fleets, overridden);
+  dacm::bench::RegisterFleetBenchmarks(fleets, overridden);
   dacm::bench::RegisterMegaBenchmark(mega);
   return dacm::bench::BenchMain(static_cast<int>(passthrough.size()),
                                 passthrough.data());

@@ -72,7 +72,7 @@ int RunRetryingCampaign() {
 
   sim::Simulator simulator;
   sim::Network network(simulator, sim::kMillisecond);
-  server::TrustedServer server(network, "fleet:443", server::ServerOptions{4});
+  server::TrustedServer server(network, "fleet:443");
   if (!server.Start().ok()) return 1;
   if (!server.UploadVehicleModel(fes::MakeRpiTestbedConf()).ok()) return 1;
   auto user = server.CreateUser("fleet-ops");

@@ -14,8 +14,8 @@
 //   * the Prometheus exposition of the fleet metric families.
 //
 // The full Chrome trace is written to flight_report_trace.json — open it
-// at https://ui.perfetto.dev to see the sim thread and each shard worker
-// as named tracks.
+// at https://ui.perfetto.dev to see the sim lane and the fleet lane as
+// named tracks.
 //
 // Run: ./build/examples/example_telemetry_flight_report
 #include <cstdio>
@@ -87,13 +87,12 @@ int main() {
   sim::Simulator simulator;
   sim::Network network(simulator, sim::kMillisecond);
   // Durable status DB, synced every 16 paragraphs: the WAL append
-  // instants land on the shard lanes and the fsync histogram gets
+  // instants land on the fleet lane and the fsync histogram gets
   // samples, so the report covers the persistence layer too.
   support::MemorySink status_log;
   server::TrustedServer server(
       network, "fleet-server:443",
-      server::ServerOptions{/*shard_count=*/4, &status_log,
-                            /*status_sync_every_n_frames=*/16});
+      server::ServerOptions{&status_log, /*status_sync_every_n_frames=*/16});
   if (!server.Start().ok()) return 1;
   if (!server.UploadVehicleModel(fes::MakeRpiTestbedConf()).ok()) return 1;
   const server::UserId user = *server.CreateUser("ops");

@@ -328,10 +328,10 @@ void CampaignEngine::Evaluate(Campaign& campaign) {
   for (std::size_t i = 0; i < campaign.rows.size(); ++i) {
     CampaignRow& row = campaign.rows[i];
     if (!Retriable(row.state)) continue;
-    if (row.ref.vehicle == FleetStore::kNil) {
-      row.ref = server_.ResolveVehicle(row.vin);
+    if (row.vehicle == FleetStore::kNil) {
+      row.vehicle = server_.ResolveVehicle(row.vin);
     }
-    const RowProbe probe = server_.ProbeRow(row.ref, campaign.app_name);
+    const RowProbe probe = server_.ProbeRow(row.vehicle, campaign.app_name);
     if (campaign.kind == CampaignKind::kDeploy) {
       if (probe == RowProbe::kInstalled) {
         row.state = CampaignRowState::kDone;
@@ -406,7 +406,7 @@ void CampaignEngine::PushWave(Campaign& campaign,
   for (std::size_t index : retry) {
     CampaignRow& row = campaign.rows[index];
     row.state = CampaignRowState::kRetrying;
-    targets.push_back(WaveTarget{row.vin, row.ref});
+    targets.push_back(WaveTarget{row.vin, row.vehicle});
     campaign.dirty.push_back(static_cast<std::uint32_t>(index));
   }
   ++campaign.waves_pushed;

@@ -106,11 +106,11 @@ struct CampaignRow {
   /// message (the VIN again, plus boilerplate) carried no information a
   /// code does not — the journal never persisted it either.
   support::ErrorCode error = support::ErrorCode::kOk;
-  /// Where the server keeps this VIN, resolved once (Evaluate) instead of
-  /// re-hashed every tick.  A cache, never journaled: an unresolved ref
-  /// (unknown VIN, or a recovered row) is resolved again on each tick
-  /// until the VIN shows up.
-  VehicleRef ref;
+  /// The server's FleetStore handle for this VIN, resolved once
+  /// (Evaluate) instead of re-hashed every tick.  A cache, never
+  /// journaled: an unresolved handle (FleetStore::kNil: unknown VIN, or a
+  /// recovered row) is resolved again on each tick until the VIN shows up.
+  std::uint32_t vehicle = FleetStore::kNil;
 };
 
 /// Aggregate view of one campaign (cheap; computed from the row table).

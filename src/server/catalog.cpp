@@ -9,6 +9,25 @@ namespace {
 
 constexpr std::uint8_t kImageVersion = 1;
 
+// Minimum encoded size of each repeated element (a string or blob is at
+// least its u32 length, a varint one byte): ReadCount rejects an element
+// count that cannot fit in the record before anything is reserved.
+constexpr std::size_t kMinString = 4;
+constexpr std::size_t kMinEcu = 4 + kMinString + 1 + 1 + 8 + 8;
+constexpr std::size_t kMinVirtualPort = 1 + kMinString + 1 + 1 + 4 + 4;
+// Name, pool index (the inline blob is larger), port count.
+constexpr std::size_t kMinPlugin = kMinString + 1 + 1;
+constexpr std::size_t kMinPort = 1 + kMinString + 1;
+// Model, min platform and three counts.
+constexpr std::size_t kMinSwConf = 2 * kMinString + 3;
+constexpr std::size_t kMinPlacement = kMinString + 4;
+constexpr std::size_t kMinConnection = 5 * kMinString + 3;
+// Name, platform version and two counts.
+constexpr std::size_t kMinModel = 2 * kMinString + 2;
+// Name, version, developer and four counts.
+constexpr std::size_t kMinApp = 3 * kMinString + 4;
+constexpr std::size_t kMinBinding = 2 * kMinString + 4;
+
 std::uint64_t ContentHash(std::span<const std::uint8_t> bytes) {
   std::uint64_t hash = 1469598103934665603ull;
   for (std::uint8_t b : bytes) {
@@ -46,7 +65,7 @@ void EncodeModelBody(support::ByteWriter& writer, const VehicleModelConf& conf) 
 support::Result<VehicleModelConf> DecodeModelBody(support::ByteReader& reader) {
   VehicleModelConf conf;
   DACM_ASSIGN_OR_RETURN(conf.model, reader.ReadString());
-  DACM_ASSIGN_OR_RETURN(const std::uint32_t ecu_count, reader.ReadVarU32());
+  DACM_ASSIGN_OR_RETURN(const std::uint32_t ecu_count, reader.ReadCount(kMinEcu));
   conf.hw.ecus.reserve(ecu_count);
   for (std::uint32_t i = 0; i < ecu_count; ++i) {
     EcuInfo ecu;
@@ -63,7 +82,8 @@ support::Result<VehicleModelConf> DecodeModelBody(support::ByteReader& reader) {
     conf.hw.ecus.push_back(std::move(ecu));
   }
   DACM_ASSIGN_OR_RETURN(conf.sw.platform_version, reader.ReadString());
-  DACM_ASSIGN_OR_RETURN(const std::uint32_t vp_count, reader.ReadVarU32());
+  DACM_ASSIGN_OR_RETURN(const std::uint32_t vp_count,
+                        reader.ReadCount(kMinVirtualPort));
   conf.sw.virtual_ports.reserve(vp_count);
   for (std::uint32_t i = 0; i < vp_count; ++i) {
     VirtualPortDesc vp;
@@ -148,7 +168,8 @@ support::Result<App> DecodeAppBody(support::ByteReader& reader,
   DACM_ASSIGN_OR_RETURN(app.name, reader.ReadString());
   DACM_ASSIGN_OR_RETURN(app.version, reader.ReadString());
   DACM_ASSIGN_OR_RETURN(app.developer, reader.ReadString());
-  DACM_ASSIGN_OR_RETURN(const std::uint32_t plugin_count, reader.ReadVarU32());
+  DACM_ASSIGN_OR_RETURN(const std::uint32_t plugin_count,
+                        reader.ReadCount(kMinPlugin));
   app.plugins.reserve(plugin_count);
   for (std::uint32_t i = 0; i < plugin_count; ++i) {
     PluginDecl plugin;
@@ -162,7 +183,8 @@ support::Result<App> DecodeAppBody(support::ByteReader& reader,
       }
       plugin.binary = (*pool)[blob];
     }
-    DACM_ASSIGN_OR_RETURN(const std::uint32_t port_count, reader.ReadVarU32());
+    DACM_ASSIGN_OR_RETURN(const std::uint32_t port_count,
+                          reader.ReadCount(kMinPort));
     plugin.ports.reserve(port_count);
     for (std::uint32_t j = 0; j < port_count; ++j) {
       PluginPortDecl port;
@@ -178,14 +200,15 @@ support::Result<App> DecodeAppBody(support::ByteReader& reader,
     }
     app.plugins.push_back(std::move(plugin));
   }
-  DACM_ASSIGN_OR_RETURN(const std::uint32_t conf_count, reader.ReadVarU32());
+  DACM_ASSIGN_OR_RETURN(const std::uint32_t conf_count,
+                        reader.ReadCount(kMinSwConf));
   app.confs.reserve(conf_count);
   for (std::uint32_t i = 0; i < conf_count; ++i) {
     SwConf conf;
     DACM_ASSIGN_OR_RETURN(conf.vehicle_model, reader.ReadString());
     DACM_ASSIGN_OR_RETURN(conf.min_platform, reader.ReadString());
     DACM_ASSIGN_OR_RETURN(const std::uint32_t placement_count,
-                          reader.ReadVarU32());
+                          reader.ReadCount(kMinPlacement));
     conf.placements.reserve(placement_count);
     for (std::uint32_t j = 0; j < placement_count; ++j) {
       PlacementDecl placement;
@@ -194,7 +217,7 @@ support::Result<App> DecodeAppBody(support::ByteReader& reader,
       conf.placements.push_back(std::move(placement));
     }
     DACM_ASSIGN_OR_RETURN(const std::uint32_t connection_count,
-                          reader.ReadVarU32());
+                          reader.ReadCount(kMinConnection));
     conf.connections.reserve(connection_count);
     for (std::uint32_t j = 0; j < connection_count; ++j) {
       ConnectionDecl connection;
@@ -214,7 +237,7 @@ support::Result<App> DecodeAppBody(support::ByteReader& reader,
       conf.connections.push_back(std::move(connection));
     }
     DACM_ASSIGN_OR_RETURN(const std::uint32_t required_count,
-                          reader.ReadVarU32());
+                          reader.ReadCount(kMinString));
     conf.required_virtual_ports.reserve(required_count);
     for (std::uint32_t j = 0; j < required_count; ++j) {
       DACM_ASSIGN_OR_RETURN(std::string vp, reader.ReadString());
@@ -222,14 +245,14 @@ support::Result<App> DecodeAppBody(support::ByteReader& reader,
     }
     app.confs.push_back(std::move(conf));
   }
-  DACM_ASSIGN_OR_RETURN(const std::uint32_t dep_count, reader.ReadVarU32());
+  DACM_ASSIGN_OR_RETURN(const std::uint32_t dep_count, reader.ReadCount(kMinString));
   app.depends_on.reserve(dep_count);
   for (std::uint32_t i = 0; i < dep_count; ++i) {
     DACM_ASSIGN_OR_RETURN(std::string dep, reader.ReadString());
     app.depends_on.push_back(std::move(dep));
   }
   DACM_ASSIGN_OR_RETURN(const std::uint32_t conflict_count,
-                        reader.ReadVarU32());
+                        reader.ReadCount(kMinString));
   app.conflicts_with.reserve(conflict_count);
   for (std::uint32_t i = 0; i < conflict_count; ++i) {
     DACM_ASSIGN_OR_RETURN(std::string conflict, reader.ReadString());
@@ -430,14 +453,16 @@ support::Status ApplyCatalogRecord(std::span<const std::uint8_t> payload,
         return support::Corrupted("unknown catalog image version");
       }
       CatalogImage fresh;
-      DACM_ASSIGN_OR_RETURN(const std::uint32_t pool_count, reader.ReadVarU32());
+      DACM_ASSIGN_OR_RETURN(const std::uint32_t pool_count,
+                            reader.ReadCount(kMinString));
       std::vector<support::Bytes> pool;
       pool.reserve(pool_count);
       for (std::uint32_t i = 0; i < pool_count; ++i) {
         DACM_ASSIGN_OR_RETURN(support::Bytes blob, reader.ReadBlob());
         pool.push_back(std::move(blob));
       }
-      DACM_ASSIGN_OR_RETURN(const std::uint32_t user_count, reader.ReadVarU32());
+      DACM_ASSIGN_OR_RETURN(const std::uint32_t user_count,
+                            reader.ReadCount(kMinString));
       fresh.users.reserve(user_count);
       for (std::uint32_t i = 0; i < user_count; ++i) {
         User user;
@@ -445,20 +470,21 @@ support::Status ApplyCatalogRecord(std::span<const std::uint8_t> payload,
         fresh.users.push_back(std::move(user));
       }
       DACM_ASSIGN_OR_RETURN(const std::uint32_t model_count,
-                            reader.ReadVarU32());
+                            reader.ReadCount(kMinModel));
       fresh.models.reserve(model_count);
       for (std::uint32_t i = 0; i < model_count; ++i) {
         DACM_ASSIGN_OR_RETURN(VehicleModelConf conf, DecodeModelBody(reader));
         fresh.models.push_back(std::move(conf));
       }
-      DACM_ASSIGN_OR_RETURN(const std::uint32_t app_count, reader.ReadVarU32());
+      DACM_ASSIGN_OR_RETURN(const std::uint32_t app_count,
+                            reader.ReadCount(kMinApp));
       fresh.apps.reserve(app_count);
       for (std::uint32_t i = 0; i < app_count; ++i) {
         DACM_ASSIGN_OR_RETURN(App app, DecodeAppBody(reader, &pool));
         fresh.apps.push_back(std::move(app));
       }
       DACM_ASSIGN_OR_RETURN(const std::uint32_t binding_count,
-                            reader.ReadVarU32());
+                            reader.ReadCount(kMinBinding));
       fresh.bindings.reserve(binding_count);
       for (std::uint32_t i = 0; i < binding_count; ++i) {
         CatalogBinding binding;

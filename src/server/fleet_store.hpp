@@ -1,4 +1,4 @@
-// Packed per-shard fleet state (the celengine catalog idiom): one
+// Packed fleet state (the celengine catalog idiom): one
 // append-only VIN-interned table hands out dense u32 handles, and every
 // per-vehicle attribute lives in a parallel column indexed by handle —
 // no per-vehicle heap row, no per-vehicle map nodes.
@@ -59,7 +59,7 @@ class FleetStore {
 
   // --- VIN interning -------------------------------------------------------
 
-  /// Handle for `vin`, or kNil if never seen on this shard.
+  /// Handle for `vin`, or kNil if never seen.
   std::uint32_t Find(std::string_view vin) const;
   /// Handle for `vin`, interning it on first sight.
   std::uint32_t Intern(std::string_view vin);

@@ -186,8 +186,9 @@ support::Result<std::vector<RecoveredCampaign>> ReplayCampaignJournal(
         DACM_RETURN_IF_ERROR(ReadPolicy(reader, campaign.policy));
         DACM_ASSIGN_OR_RETURN(campaign.started_at, reader.ReadU64());
         campaign.next_tick_at = campaign.started_at;
+        // A row is at least its VIN's string length.
         DACM_ASSIGN_OR_RETURN(const std::uint32_t row_count,
-                              reader.ReadVarU32());
+                              reader.ReadCount(4));
         campaign.rows.reserve(row_count);
         for (std::uint32_t i = 0; i < row_count; ++i) {
           CampaignRow row;
@@ -254,6 +255,14 @@ support::Result<std::vector<RecoveredCampaign>> ReplayCampaignJournal(
           // A compacted journal drops retired campaigns' kStart records
           // and keeps only the tombstone; materialize forgotten
           // placeholder slots so later ids keep their dense alignment.
+          // Compaction writes one tombstone per retired slot, so a real
+          // id is always below the image's byte length; a larger one is
+          // damage, not a hole to fill.
+          if (id >= data.size()) {
+            return support::Corrupted("journal forget id " +
+                                      std::to_string(id) +
+                                      " beyond the image");
+          }
           DACM_LOG_WARN("journal")
               << "forget tombstone for campaign " << id
               << " with no start record; materializing retired slot";

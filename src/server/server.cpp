@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <thread>
-#include <tuple>
+#include <utility>
 
 #include "pirte/package.hpp"
 #include "support/log.hpp"
@@ -70,18 +70,6 @@ struct ServerMetrics {
   }
 };
 
-/// FNV-1a; stable across platforms so shard placement (and with it the
-/// order a campaign walks the fleet in) never depends on the standard
-/// library's std::hash.
-std::uint64_t Fnv1a(std::string_view s) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (char c : s) {
-    hash ^= static_cast<std::uint8_t>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
 /// Status-DB encoding of an in-memory InstallState (the paragraph written
 /// when a push fails and the row snaps back to its previous state).
 Want WantFor(InstallState state) {
@@ -99,6 +87,10 @@ DbState DbStateFor(InstallState state) {
 }
 
 constexpr std::uint32_t kNil = FleetStore::kNil;
+
+/// Trace track of the per-vehicle events (WAL appends, deploy round
+/// trips); lane 0 carries the server-wide events.
+constexpr std::uint32_t kFleetLane = 1;
 
 /// All-acked mask for an n-plug-in row (UploadApp caps n at 64).
 std::uint64_t FullMask(std::size_t n) {
@@ -134,8 +126,7 @@ TrustedServer::TrustedServer(sim::Network& network, std::string address,
                              ServerOptions options)
     : network_(network),
       address_(std::move(address)),
-      options_(options),
-      shards_(options.shard_count == 0 ? 1 : options.shard_count) {
+      options_(options) {
   if (options_.status_sink != nullptr) {
     status_db_ = std::make_unique<StatusDb>(*options_.status_sink,
                                             options_.status_sync_every_n_frames);
@@ -150,29 +141,15 @@ TrustedServer::~TrustedServer() {
   if (started_) (void)network_.Unlisten(address_);
   // Drop receive handlers before closing: a delivery already scheduled
   // for a later timestamp null-checks the handler and is absorbed.
-  for (Shard& shard : shards_) {
-    shard.store.ForEachPeer([](const std::shared_ptr<sim::NetPeer>& peer) {
-      peer->SetReceiveHandler(nullptr);
-      peer->Close();
-    });
-  }
+  store_.ForEachPeer([](const std::shared_ptr<sim::NetPeer>& peer) {
+    peer->SetReceiveHandler(nullptr);
+    peer->Close();
+  });
   for (const std::shared_ptr<sim::NetPeer>& peer : pending_) {
     peer->SetReceiveHandler(nullptr);
     peer->Close();
   }
   pending_.clear();
-}
-
-std::size_t TrustedServer::ShardIndex(std::string_view vin) const {
-  return shards_.size() == 1 ? 0 : Fnv1a(vin) % shards_.size();
-}
-
-TrustedServer::Shard& TrustedServer::ShardFor(std::string_view vin) {
-  return shards_[ShardIndex(vin)];
-}
-
-const TrustedServer::Shard& TrustedServer::ShardFor(std::string_view vin) const {
-  return shards_[ShardIndex(vin)];
 }
 
 support::Status TrustedServer::Start() {
@@ -205,9 +182,8 @@ support::Result<UserId> TrustedServer::CreateUser(const std::string& name) {
 support::Status TrustedServer::BindVehicle(UserId user, const std::string& vin,
                                            const std::string& model) {
   if (user.value() >= users_.size()) return support::NotFound("unknown user");
-  Shard& shard = ShardFor(vin);
-  const std::uint32_t existing = shard.store.Find(vin);
-  if (existing != kNil && shard.store.bound(existing)) {
+  const std::uint32_t existing = store_.Find(vin);
+  if (existing != kNil && store_.bound(existing)) {
     return support::AlreadyExists("VIN already bound: " + vin);
   }
   auto model_it = model_ids_.find(model);
@@ -216,7 +192,7 @@ support::Status TrustedServer::BindVehicle(UserId user, const std::string& vin,
   }
   // The handle may already exist (the ECM's Hello can race the binding);
   // binding just fills the model/owner columns.
-  shard.store.Bind(shard.store.Intern(vin), model_it->second, user);
+  store_.Bind(store_.Intern(vin), model_it->second, user);
   users_[user.value()].vins.push_back(vin);
   if (status_db_ != nullptr) {
     (void)AppendDurable(EncodeCatalogBinding(vin, model, user.value()));
@@ -266,39 +242,38 @@ support::Status TrustedServer::UploadApp(App app) {
 
 // --- operations -----------------------------------------------------------------------
 
-support::Status TrustedServer::DeployOnShard(Shard& shard, UserId user,
+support::Status TrustedServer::DeployVehicle(UserId user,
                                              std::uint32_t vehicle,
                                              std::string_view vin,
                                              const App& app, bool batched) {
-  FleetStore& store = shard.store;
-  if (vehicle == kNil || !store.bound(vehicle)) {
+  if (vehicle == kNil || !store_.bound(vehicle)) {
     return support::NotFound("VIN: " + std::string(vin));
   }
-  DACM_RETURN_IF_ERROR(CheckOwnership(user, store.owner(vehicle), vin));
-  if (store.FindRow(vehicle, app.name) != kNil) {
-    ++shard.stats.deploys_rejected;
+  DACM_RETURN_IF_ERROR(CheckOwnership(user, store_.owner(vehicle), vin));
+  if (store_.FindRow(vehicle, app.name) != kNil) {
+    ++stats_.deploys_rejected;
     return support::AlreadyExists("app already installed: " + app.name);
   }
 
-  const std::string& model_name = ModelName(store.model(vehicle));
+  const std::string& model_name = ModelName(store_.model(vehicle));
   // Compatibility: a SW conf for this vehicle model must exist...
   const SwConf* conf = app.ConfForModel(model_name);
   if (conf == nullptr) {
-    ++shard.stats.deploys_rejected;
+    ++stats_.deploys_rejected;
     return support::Incompatible("no SW conf for vehicle model " + model_name);
   }
   DACM_ASSIGN_OR_RETURN(const VehicleModelConf* model, ModelConf(model_name));
   // ...the platform must be recent enough...
   if (!conf->min_platform.empty() &&
       support::CompareVersions(model->sw.platform_version, conf->min_platform) < 0) {
-    ++shard.stats.deploys_rejected;
+    ++stats_.deploys_rejected;
     return support::Incompatible("platform " + model->sw.platform_version +
                                  " older than required " + conf->min_platform);
   }
   // ...every required virtual port must be exposed...
   for (const std::string& required : conf->required_virtual_ports) {
     if (model->sw.FindByName(required) == nullptr) {
-      ++shard.stats.deploys_rejected;
+      ++stats_.deploys_rejected;
       return support::Incompatible("vehicle lacks required virtual port " + required);
     }
   }
@@ -306,35 +281,35 @@ support::Status TrustedServer::DeployOnShard(Shard& shard, UserId user,
   for (const PlacementDecl& placement : conf->placements) {
     const EcuInfo* ecu = model->hw.FindEcu(placement.ecu_id);
     if (ecu == nullptr || !ecu->has_plugin_swc) {
-      ++shard.stats.deploys_rejected;
+      ++stats_.deploys_rejected;
       return support::Incompatible("ECU " + std::to_string(placement.ecu_id) +
                                    " cannot host plug-ins");
     }
   }
   // ...then dependencies: pre-requisite apps must be installed...
   for (const std::string& dependency : app.depends_on) {
-    const std::uint32_t dep = store.FindRow(vehicle, dependency);
-    if (dep == kNil || store.row(dep).state != InstallState::kInstalled) {
-      ++shard.stats.deploys_rejected;
+    const std::uint32_t dep = store_.FindRow(vehicle, dependency);
+    if (dep == kNil || store_.row(dep).state != InstallState::kInstalled) {
+      ++stats_.deploys_rejected;
       return support::DependencyViolation("requires app " + dependency +
                                           " to be installed first");
     }
   }
   // ...and no conflicts in either direction.
   for (const std::string& conflict : app.conflicts_with) {
-    if (store.FindRow(vehicle, conflict) != kNil) {
-      ++shard.stats.deploys_rejected;
+    if (store_.FindRow(vehicle, conflict) != kNil) {
+      ++stats_.deploys_rejected;
       return support::DependencyViolation("conflicts with installed app " + conflict);
     }
   }
-  for (std::uint32_t r = store.row_head(vehicle); r != kNil;
-       r = store.row(r).next) {
-    const std::string& installed_name = store.row(r).manifest->app_name;
+  for (std::uint32_t r = store_.row_head(vehicle); r != kNil;
+       r = store_.row(r).next) {
+    const std::string& installed_name = store_.row(r).manifest->app_name;
     auto other = apps_.find(installed_name);
     if (other == apps_.end()) continue;
     const auto& conflicts = other->second.conflicts_with;
     if (std::find(conflicts.begin(), conflicts.end(), app.name) != conflicts.end()) {
-      ++shard.stats.deploys_rejected;
+      ++stats_.deploys_rejected;
       return support::DependencyViolation("installed app " + installed_name +
                                           " conflicts with " + app.name);
     }
@@ -343,9 +318,9 @@ support::Status TrustedServer::DeployOnShard(Shard& shard, UserId user,
   // The Pusher needs a live connection; reject before any state changes so
   // a retry starts from a clean table.  The peer found here is the one
   // every push below uses (no connection changes under this call).
-  sim::NetPeer* peer = store.FirstConnectedPeer(vehicle);
+  sim::NetPeer* peer = store_.FirstConnectedPeer(vehicle);
   if (peer == nullptr) {
-    ++shard.stats.deploys_rejected;
+    ++stats_.deploys_rejected;
     return support::Unavailable("vehicle offline: " + std::string(vin));
   }
 
@@ -355,33 +330,33 @@ support::Status TrustedServer::DeployOnShard(Shard& shard, UserId user,
   DACM_ASSIGN_OR_RETURN(
       CachedBatch batch,
       cache_.Acquire(model_name, app, *conf, model->sw,
-                     store.DeriveUsedIds(vehicle)));
+                     store_.DeriveUsedIds(vehicle)));
 
   // Record + push.
-  const std::uint32_t r = store.AddRow(vehicle);
-  FleetStore::InstallRow& row = store.row(r);
+  const std::uint32_t r = store_.AddRow(vehicle);
+  FleetStore::InstallRow& row = store_.row(r);
   row.state = InstallState::kPending;
   row.manifest = batch.manifest;
   row.payload = batch.payload;
   // Write-ahead: the half-installed paragraph hits the status DB before
   // the push leaves, so a crash between push and ack recovers into a
   // retriable kPending row instead of a silently lost deploy.
-  WriteStatus(shard, vin, row, Want::kInstall, DbState::kHalfInstalled);
+  WriteStatus(vin, row, Want::kInstall, DbState::kHalfInstalled);
 
   auto rollback = [&](const support::Status& error) {
     // Roll back the uncommitted row: a failed deploy must leave no trace
     // (a stale row would block retries and pin batch refcounts).  The
     // tombstone undoes the write-ahead paragraph above.
-    WriteStatusRemoved(shard, vin, app.name, app.version, Want::kInstall);
-    store.RemoveRow(vehicle, r);
-    ++shard.stats.deploys_rejected;
+    WriteStatusRemoved(vin, app.name, app.version, Want::kInstall);
+    store_.RemoveRow(vehicle, r);
+    ++stats_.deploys_rejected;
     return error;
   };
 
   if (batched) {
     // Campaign path: push the cached batch envelope — a refcount bump,
     // no per-vehicle serialization at all.
-    auto push = PushWireToVehicle(shard, peer, vin, batch.payload->install_wire);
+    auto push = PushWireToVehicle(peer, vin, batch.payload->install_wire);
     if (!push.ok()) return rollback(push);
   } else {
     for (std::size_t i = 0; i < batch.manifest->plugins.size(); ++i) {
@@ -391,14 +366,14 @@ support::Status TrustedServer::DeployOnShard(Shard& shard, UserId user,
       message.plugin_name = plugin.name;
       message.target_ecu = plugin.ecu_id;
       message.payload = batch.payload->packages[i];
-      auto push = PushToVehicle(shard, peer, vin, message);
+      auto push = PushToVehicle(peer, vin, message);
       if (!push.ok()) return rollback(push);
     }
   }
   // Sim time of the wire push: the convergence path turns this into the
   // push→ack round-trip histogram and trace span.
   row.pushed_at = network_.simulator().Now();
-  ++shard.stats.deploys_ok;
+  ++stats_.deploys_ok;
   DACM_LOG_INFO("server") << "deploy " << app.name << " -> " << vin << " ("
                           << batch.manifest->plugins.size() << " plug-ins"
                           << (batched ? ", batched)" : ")");
@@ -407,18 +382,17 @@ support::Status TrustedServer::DeployOnShard(Shard& shard, UserId user,
 
 support::Status TrustedServer::Deploy(UserId user, const std::string& vin,
                                       const std::string& app_name) {
-  Shard& shard = ShardFor(vin);
   auto app_it = apps_.find(app_name);
   if (app_it == apps_.end()) {
     // Match the historic accounting: an unknown app only counts as a
     // rejection when the vehicle at least exists.
-    const std::uint32_t vehicle = shard.store.Find(vin);
-    if (vehicle != kNil && shard.store.bound(vehicle)) {
-      ++shard.stats.deploys_rejected;
+    const std::uint32_t vehicle = store_.Find(vin);
+    if (vehicle != kNil && store_.bound(vehicle)) {
+      ++stats_.deploys_rejected;
     }
     return support::NotFound("app: " + app_name);
   }
-  return DeployOnShard(shard, user, shard.store.Find(vin), vin, app_it->second,
+  return DeployVehicle(user, store_.Find(vin), vin, app_it->second,
                        /*batched=*/false);
 }
 
@@ -428,15 +402,14 @@ support::Result<CampaignReport> TrustedServer::DeployCampaign(
   if (app_it == apps_.end()) return support::NotFound("app: " + app_name);
   const App& app = app_it->second;
 
-  // Fleet order, whatever the shard count: pushes leave (and acks come
-  // back) in the order the caller listed the VINs.
+  // Fleet order: pushes leave (and acks come back) in the order the
+  // caller listed the VINs.
   CampaignReport report;
   report.per_vehicle_ns.reserve(vins.size());
   ServerMetrics& metrics = ServerMetrics::Get();
   for (const std::string& vin : vins) {
-    Shard& shard = ShardFor(vin);
     const auto start = std::chrono::steady_clock::now();
-    auto status = DeployOnShard(shard, user, shard.store.Find(vin), vin, app,
+    auto status = DeployVehicle(user, store_.Find(vin), vin, app,
                                 /*batched=*/true);
     const auto ns = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -466,21 +439,16 @@ WaveOutcome ClassifyPush(support::Status status) {
 
 }  // namespace
 
-VehicleRef TrustedServer::ResolveVehicle(std::string_view vin) const {
-  const std::size_t shard = ShardIndex(vin);
-  return VehicleRef{static_cast<std::uint32_t>(shard),
-                    shards_[shard].store.Find(vin)};
+std::uint32_t TrustedServer::ResolveVehicle(std::string_view vin) const {
+  return store_.Find(vin);
 }
 
-RowProbe TrustedServer::ProbeRow(VehicleRef ref,
+RowProbe TrustedServer::ProbeRow(std::uint32_t vehicle,
                                  std::string_view app_name) const {
-  const FleetStore& store = shards_[ref.shard].store;
-  if (ref.vehicle == kNil || !store.bound(ref.vehicle)) {
-    return RowProbe::kNoVehicle;
-  }
-  const std::uint32_t r = store.FindRow(ref.vehicle, app_name);
+  if (vehicle == kNil || !store_.bound(vehicle)) return RowProbe::kNoVehicle;
+  const std::uint32_t r = store_.FindRow(vehicle, app_name);
   if (r == kNil) return RowProbe::kNoRow;
-  switch (store.row(r).state) {
+  switch (store_.row(r).state) {
     case InstallState::kPending: return RowProbe::kPending;
     case InstallState::kInstalled: return RowProbe::kInstalled;
     case InstallState::kFailed: return RowProbe::kFailed;
@@ -507,32 +475,30 @@ std::vector<WaveOutcome> TrustedServer::CampaignWavePush(
   }
 
   for (std::size_t i = 0; i < targets.size(); ++i) {
-    outcomes[i] = WavePushOnShard(shards_[targets[i].ref.shard], user,
-                                  targets[i], app_name, app, kind);
+    outcomes[i] = WavePushTarget(user, targets[i], app_name, app, kind);
   }
   return outcomes;
 }
 
-WaveOutcome TrustedServer::WavePushOnShard(Shard& shard, UserId user,
-                                           const WaveTarget& target,
-                                           const std::string& app_name,
-                                           const App* app, CampaignKind kind) {
-  FleetStore& store = shard.store;
-  const std::uint32_t vehicle = target.ref.vehicle;
+WaveOutcome TrustedServer::WavePushTarget(UserId user,
+                                          const WaveTarget& target,
+                                          const std::string& app_name,
+                                          const App* app, CampaignKind kind) {
+  const std::uint32_t vehicle = target.vehicle;
   const std::string_view vin = target.vin;
-  if (vehicle == kNil || !store.bound(vehicle)) {
+  if (vehicle == kNil || !store_.bound(vehicle)) {
     return WaveOutcome{WaveOutcome::Action::kRejected,
                        support::NotFound("VIN: " + std::string(vin))};
   }
-  if (auto owned = CheckOwnership(user, store.owner(vehicle), vin);
+  if (auto owned = CheckOwnership(user, store_.owner(vehicle), vin);
       !owned.ok()) {
     return WaveOutcome{WaveOutcome::Action::kRejected, std::move(owned)};
   }
 
   if (kind == CampaignKind::kRollback) {
-    const std::uint32_t r = store.FindRow(vehicle, app_name);
+    const std::uint32_t r = store_.FindRow(vehicle, app_name);
     if (r == kNil) return WaveOutcome{WaveOutcome::Action::kAlreadyDone, {}};
-    if (std::string dependents = DependentsOf(shard, vehicle, app_name);
+    if (std::string dependents = DependentsOf(vehicle, app_name);
         !dependents.empty()) {
       return WaveOutcome{
           WaveOutcome::Action::kRejected,
@@ -544,29 +510,29 @@ WaveOutcome TrustedServer::WavePushOnShard(Shard& shard, UserId user,
     // reverse, pre-built on the manifest so every wave (and every vehicle
     // of the cohort) pushes the same buffer by refcount.  Ack masks reset
     // so a repeated wave (lost acks) converges.
-    FleetStore::InstallRow& row = store.row(r);
+    FleetStore::InstallRow& row = store_.row(r);
     const InstallState previous = row.state;
     row.acked = 0;
     row.ack_ok = 0;
     // Write-ahead: half-removed before the uninstall batch leaves.
-    WriteStatus(shard, vin, row, Want::kDeinstall, DbState::kHalfRemoved);
+    WriteStatus(vin, row, Want::kDeinstall, DbState::kHalfRemoved);
     row.state = InstallState::kUninstalling;
-    auto push = PushWireToVehicle(shard, store.FirstConnectedPeer(vehicle), vin,
+    auto push = PushWireToVehicle(store_.FirstConnectedPeer(vehicle), vin,
                                   row.manifest->uninstall_wire);
     if (!push.ok()) {
       row.state = previous;
       // Undo the write-ahead: re-record the state the row snapped back to.
-      WriteStatus(shard, vin, row, WantFor(previous), DbStateFor(previous));
+      WriteStatus(vin, row, WantFor(previous), DbStateFor(previous));
       return ClassifyPush(std::move(push));
     }
     row.pushed_at = network_.simulator().Now();
-    ++shard.stats.rollback_pushes;
+    ++stats_.rollback_pushes;
     return WaveOutcome{WaveOutcome::Action::kPushed, {}};
   }
 
   // Deploy wave.
-  if (const std::uint32_t r = store.FindRow(vehicle, app_name); r != kNil) {
-    FleetStore::InstallRow& row = store.row(r);
+  if (const std::uint32_t r = store_.FindRow(vehicle, app_name); r != kNil) {
+    FleetStore::InstallRow& row = store_.row(r);
     switch (row.state) {
       case InstallState::kInstalled:
         return WaveOutcome{WaveOutcome::Action::kAlreadyDone, {}};
@@ -578,46 +544,44 @@ WaveOutcome TrustedServer::WavePushOnShard(Shard& shard, UserId user,
       case InstallState::kPending:
         // Pushed in an earlier wave but the acks never came back (link
         // flap): re-push the recorded batch verbatim.
-        return ClassifyPush(RepushInstallBatch(shard, vehicle, r));
+        return ClassifyPush(RepushInstallBatch(vehicle, r));
       case InstallState::kFailed: {
         // A nacked row blocks redeployment; clear it and fall through to
         // a fresh deploy.
-        WriteStatusRemoved(shard, vin, row.manifest->app_name,
+        WriteStatusRemoved(vin, row.manifest->app_name,
                            row.manifest->version, Want::kInstall);
-        store.RemoveRow(vehicle, r);
+        store_.RemoveRow(vehicle, r);
         break;
       }
     }
   }
   return ClassifyPush(
-      DeployOnShard(shard, user, vehicle, vin, *app, /*batched=*/true));
+      DeployVehicle(user, vehicle, vin, *app, /*batched=*/true));
 }
 
-support::Status TrustedServer::RepushInstallBatch(Shard& shard,
-                                                  std::uint32_t vehicle,
+support::Status TrustedServer::RepushInstallBatch(std::uint32_t vehicle,
                                                   std::uint32_t r) {
   // A recovered row carries no payload (RecoverInstallDb persists ids,
   // not package bytes), and a convergence race can leave a row whose
   // payload was already dropped.  Rematerialize from the catalog before
   // pushing — never push an empty wire.
-  if (shard.store.row(r).payload == nullptr) {
-    DACM_RETURN_IF_ERROR(MaterializeRowPackages(shard, vehicle, r));
+  if (store_.row(r).payload == nullptr) {
+    DACM_RETURN_IF_ERROR(MaterializeRowPackages(vehicle, r));
   }
-  FleetStore::InstallRow& row = shard.store.row(r);
+  FleetStore::InstallRow& row = store_.row(r);
   row.acked = 0;
   row.ack_ok = 0;
   DACM_RETURN_IF_ERROR(PushWireToVehicle(
-      shard, shard.store.FirstConnectedPeer(vehicle),
-      shard.store.VinOf(vehicle), row.payload->install_wire));
+      store_.FirstConnectedPeer(vehicle), store_.VinOf(vehicle),
+      row.payload->install_wire));
   row.pushed_at = network_.simulator().Now();
-  ++shard.stats.repushes;
+  ++stats_.repushes;
   return support::OkStatus();
 }
 
-support::Status TrustedServer::MaterializeRowPackages(Shard& shard,
-                                                      std::uint32_t vehicle,
+support::Status TrustedServer::MaterializeRowPackages(std::uint32_t vehicle,
                                                       std::uint32_t r) {
-  FleetStore::InstallRow& row = shard.store.row(r);
+  FleetStore::InstallRow& row = store_.row(r);
   const std::string& app_name = row.manifest->app_name;
   auto app_it = apps_.find(app_name);
   if (app_it == apps_.end()) {
@@ -625,7 +589,7 @@ support::Status TrustedServer::MaterializeRowPackages(Shard& shard,
                              " not in catalog (re-upload before resuming)");
   }
   const App& app = app_it->second;
-  const std::string& model_name = ModelName(shard.store.model(vehicle));
+  const std::string& model_name = ModelName(store_.model(vehicle));
   const SwConf* conf = app.ConfForModel(model_name);
   if (conf == nullptr) {
     return support::Incompatible("no SW conf for vehicle model " + model_name);
@@ -638,42 +602,40 @@ support::Status TrustedServer::MaterializeRowPackages(Shard& shard,
   DACM_ASSIGN_OR_RETURN(
       CachedBatch batch,
       cache_.Acquire(model_name, app, *conf, model->sw,
-                     shard.store.DeriveUsedIds(vehicle, r)));
+                     store_.DeriveUsedIds(vehicle, r)));
   row.manifest = batch.manifest;
   row.payload = batch.payload;
   // Re-record the paragraph: the regenerated ids may differ from the
   // recorded ones if the layout shifted underneath (another app released
   // lower ids since the original deploy).
-  WriteStatus(shard, shard.store.VinOf(vehicle), row, WantFor(row.state),
+  WriteStatus(store_.VinOf(vehicle), row, WantFor(row.state),
               DbStateFor(row.state));
   return support::OkStatus();
 }
 
 support::Status TrustedServer::UninstallApp(UserId user, const std::string& vin,
                                             const std::string& app_name) {
-  Shard& shard = ShardFor(vin);
-  FleetStore& store = shard.store;
-  const std::uint32_t vehicle = store.Find(vin);
-  if (vehicle == kNil || !store.bound(vehicle)) {
+  const std::uint32_t vehicle = store_.Find(vin);
+  if (vehicle == kNil || !store_.bound(vehicle)) {
     return support::NotFound("VIN: " + vin);
   }
-  DACM_RETURN_IF_ERROR(CheckOwnership(user, store.owner(vehicle), vin));
-  const std::uint32_t r = store.FindRow(vehicle, app_name);
+  DACM_RETURN_IF_ERROR(CheckOwnership(user, store_.owner(vehicle), vin));
+  const std::uint32_t r = store_.FindRow(vehicle, app_name);
   if (r == kNil) return support::NotFound("app not installed: " + app_name);
 
   // "whether there are some other installed plug-ins that are dependent on
   // the plug-ins being uninstalled" — the user is notified, not cascaded.
-  if (std::string dependents = DependentsOf(shard, vehicle, app_name);
+  if (std::string dependents = DependentsOf(vehicle, app_name);
       !dependents.empty()) {
     return support::DependencyViolation("apps depending on " + app_name +
                                         " must be uninstalled first: " + dependents);
   }
 
-  FleetStore::InstallRow& row = store.row(r);
+  FleetStore::InstallRow& row = store_.row(r);
   // Write-ahead: half-removed before any uninstall message leaves.
-  WriteStatus(shard, vin, row, Want::kDeinstall, DbState::kHalfRemoved);
+  WriteStatus(vin, row, Want::kDeinstall, DbState::kHalfRemoved);
   row.state = InstallState::kUninstalling;
-  sim::NetPeer* peer = store.FirstConnectedPeer(vehicle);
+  sim::NetPeer* peer = store_.FirstConnectedPeer(vehicle);
   for (std::size_t i = 0; i < row.manifest->plugins.size(); ++i) {
     const BatchManifest::Plugin& plugin = row.manifest->plugins[i];
     row.acked &= ~(std::uint64_t{1} << i);
@@ -682,30 +644,28 @@ support::Status TrustedServer::UninstallApp(UserId user, const std::string& vin,
     message.type = pirte::MessageType::kUninstall;
     message.plugin_name = plugin.name;
     message.target_ecu = plugin.ecu_id;
-    DACM_RETURN_IF_ERROR(PushToVehicle(shard, peer, vin, message));
+    DACM_RETURN_IF_ERROR(PushToVehicle(peer, vin, message));
   }
-  ++shard.stats.uninstalls;
+  ++stats_.uninstalls;
   return support::OkStatus();
 }
 
 support::Status TrustedServer::Restore(UserId user, const std::string& vin,
                                        std::uint32_t ecu_id) {
-  Shard& shard = ShardFor(vin);
-  FleetStore& store = shard.store;
-  const std::uint32_t vehicle = store.Find(vin);
-  if (vehicle == kNil || !store.bound(vehicle)) {
+  const std::uint32_t vehicle = store_.Find(vin);
+  if (vehicle == kNil || !store_.bound(vehicle)) {
     return support::NotFound("VIN: " + vin);
   }
-  DACM_RETURN_IF_ERROR(CheckOwnership(user, store.owner(vehicle), vin));
+  DACM_RETURN_IF_ERROR(CheckOwnership(user, store_.owner(vehicle), vin));
   // "The server filters out previously installed plug-ins in the replaced
   // ECU ... Next, the usual installation steps are followed."  The recorded
   // packages are re-pushed verbatim, so the restored ECU gets the same
   // unique ids and contexts it had before.
   bool any = false;
-  for (std::uint32_t r = store.row_head(vehicle); r != kNil;
-       r = store.row(r).next) {
+  for (std::uint32_t r = store_.row_head(vehicle); r != kNil;
+       r = store_.row(r).next) {
     {
-      const FleetStore::InstallRow& row = store.row(r);
+      const FleetStore::InstallRow& row = store_.row(r);
       const bool touches = std::any_of(
           row.manifest->plugins.begin(), row.manifest->plugins.end(),
           [&](const BatchManifest::Plugin& plugin) {
@@ -716,12 +676,12 @@ support::Status TrustedServer::Restore(UserId user, const std::string& vin,
     any = true;
     // A recovered (or converged) row has no payload; rebuild from the
     // catalog before re-pushing (same ids when the layout is unchanged).
-    if (store.row(r).payload == nullptr) {
-      DACM_RETURN_IF_ERROR(MaterializeRowPackages(shard, vehicle, r));
+    if (store_.row(r).payload == nullptr) {
+      DACM_RETURN_IF_ERROR(MaterializeRowPackages(vehicle, r));
     }
-    FleetStore::InstallRow& row = store.row(r);
+    FleetStore::InstallRow& row = store_.row(r);
     // Write-ahead: the row drops back to in-flight before the re-push.
-    WriteStatus(shard, vin, row, Want::kInstall, DbState::kHalfInstalled);
+    WriteStatus(vin, row, Want::kInstall, DbState::kHalfInstalled);
     row.state = InstallState::kPending;
     for (std::size_t i = 0; i < row.manifest->plugins.size(); ++i) {
       const BatchManifest::Plugin& plugin = row.manifest->plugins[i];
@@ -733,14 +693,14 @@ support::Status TrustedServer::Restore(UserId user, const std::string& vin,
       message.plugin_name = plugin.name;
       message.target_ecu = plugin.ecu_id;
       message.payload = row.payload->packages[i];
-      DACM_RETURN_IF_ERROR(PushToVehicle(
-          shard, store.FirstConnectedPeer(vehicle), vin, message));
+      DACM_RETURN_IF_ERROR(
+          PushToVehicle(store_.FirstConnectedPeer(vehicle), vin, message));
     }
   }
   if (!any) {
     return support::NotFound("no installed plug-ins on ECU " + std::to_string(ecu_id));
   }
-  ++shard.stats.restores;
+  ++stats_.restores;
   return support::OkStatus();
 }
 
@@ -748,41 +708,37 @@ support::Status TrustedServer::Restore(UserId user, const std::string& vin,
 
 support::Result<InstallState> TrustedServer::AppState(const std::string& vin,
                                                       const std::string& app_name) const {
-  const Shard& shard = ShardFor(vin);
-  const std::uint32_t vehicle = shard.store.Find(vin);
-  if (vehicle == kNil || !shard.store.bound(vehicle)) {
+  const std::uint32_t vehicle = store_.Find(vin);
+  if (vehicle == kNil || !store_.bound(vehicle)) {
     return support::NotFound("VIN: " + vin);
   }
-  const std::uint32_t r = shard.store.FindRow(vehicle, app_name);
+  const std::uint32_t r = store_.FindRow(vehicle, app_name);
   if (r == kNil) return support::NotFound("app not installed: " + app_name);
-  return shard.store.row(r).state;
+  return store_.row(r).state;
 }
 
 std::vector<std::string> TrustedServer::InstalledApps(const std::string& vin) const {
   std::vector<std::string> names;
-  const Shard& shard = ShardFor(vin);
-  const std::uint32_t vehicle = shard.store.Find(vin);
-  if (vehicle == kNil || !shard.store.bound(vehicle)) return names;
-  for (std::uint32_t r = shard.store.row_head(vehicle); r != kNil;
-       r = shard.store.row(r).next) {
-    names.push_back(shard.store.row(r).manifest->app_name);
+  const std::uint32_t vehicle = store_.Find(vin);
+  if (vehicle == kNil || !store_.bound(vehicle)) return names;
+  for (std::uint32_t r = store_.row_head(vehicle); r != kNil;
+       r = store_.row(r).next) {
+    names.push_back(store_.row(r).manifest->app_name);
   }
   return names;
 }
 
 std::shared_ptr<const Vehicle> TrustedServer::FindVehicle(
     const std::string& vin) const {
-  const Shard& shard = ShardFor(vin);
-  const FleetStore& store = shard.store;
-  const std::uint32_t vehicle = store.Find(vin);
-  if (vehicle == kNil || !store.bound(vehicle)) return nullptr;
+  const std::uint32_t vehicle = store_.Find(vin);
+  if (vehicle == kNil || !store_.bound(vehicle)) return nullptr;
   auto view = std::make_shared<Vehicle>();
   view->vin = vin;
-  view->model = ModelName(store.model(vehicle));
-  view->owner = store.owner(vehicle);
-  for (std::uint32_t r = store.row_head(vehicle); r != kNil;
-       r = store.row(r).next) {
-    const FleetStore::InstallRow& row = store.row(r);
+  view->model = ModelName(store_.model(vehicle));
+  view->owner = store_.owner(vehicle);
+  for (std::uint32_t r = store_.row_head(vehicle); r != kNil;
+       r = store_.row(r).next) {
+    const FleetStore::InstallRow& row = store_.row(r);
     const BatchManifest& manifest = *row.manifest;
     InstalledApp record;
     record.app_name = manifest.app_name;
@@ -805,65 +761,40 @@ std::shared_ptr<const Vehicle> TrustedServer::FindVehicle(
     record.uninstall_bytes = manifest.uninstall_wire;
     view->installed.push_back(std::move(record));
   }
-  view->port_ids = store.DeriveUsedIds(vehicle);
+  view->port_ids = store_.DeriveUsedIds(vehicle);
   return view;
 }
 
 bool TrustedServer::HasVehicle(const std::string& vin) const {
-  const Shard& shard = ShardFor(vin);
-  const std::uint32_t vehicle = shard.store.Find(vin);
-  return vehicle != kNil && shard.store.bound(vehicle);
+  const std::uint32_t vehicle = store_.Find(vin);
+  return vehicle != kNil && store_.bound(vehicle);
 }
 
 bool TrustedServer::VehicleOnline(const std::string& vin) const {
-  const Shard& shard = ShardFor(vin);
-  const std::uint32_t vehicle = shard.store.Find(vin);
-  return vehicle != kNil && shard.store.HasLiveConnection(vehicle);
+  const std::uint32_t vehicle = store_.Find(vin);
+  return vehicle != kNil && store_.HasLiveConnection(vehicle);
 }
 
 bool TrustedServer::HasApp(const std::string& app_name) const {
   return apps_.contains(app_name);
 }
 
-ServerStats TrustedServer::stats() const {
-  ServerStats total;
-  for (const Shard& shard : shards_) {
-    total.packages_pushed += shard.stats.packages_pushed;
-    total.acks_received += shard.stats.acks_received;
-    total.nacks_received += shard.stats.nacks_received;
-    total.deploys_ok += shard.stats.deploys_ok;
-    total.deploys_rejected += shard.stats.deploys_rejected;
-    total.uninstalls += shard.stats.uninstalls;
-    total.restores += shard.stats.restores;
-    total.repushes += shard.stats.repushes;
-    total.rollback_pushes += shard.stats.rollback_pushes;
-    total.connections_reaped += shard.stats.connections_reaped;
-  }
-  total.connections_reaped += pending_reaped_;
-  total.durability_degraded = durability_degraded_;
-  total.status_write_retries = status_write_retries_;
-  total.status_writes_lost = status_writes_lost_;
-  total.compactions = compactions_;
-  return total;
-}
-
 void TrustedServer::FoldStatsToMetrics() const {
-  const ServerStats total = stats();
   ServerMetrics& metrics = ServerMetrics::Get();
-  metrics.packages_pushed.Set(total.packages_pushed);
-  metrics.acks_received.Set(total.acks_received);
-  metrics.nacks_received.Set(total.nacks_received);
-  metrics.deploys_ok.Set(total.deploys_ok);
-  metrics.deploys_rejected.Set(total.deploys_rejected);
-  metrics.uninstalls.Set(total.uninstalls);
-  metrics.restores.Set(total.restores);
-  metrics.repushes.Set(total.repushes);
-  metrics.rollback_pushes.Set(total.rollback_pushes);
-  metrics.connections_reaped.Set(total.connections_reaped);
-  metrics.status_write_retries.Set(total.status_write_retries);
-  metrics.status_writes_lost.Set(total.status_writes_lost);
-  metrics.compactions.Set(total.compactions);
-  metrics.durability_degraded.Set(total.durability_degraded ? 1 : 0);
+  metrics.packages_pushed.Set(stats_.packages_pushed);
+  metrics.acks_received.Set(stats_.acks_received);
+  metrics.nacks_received.Set(stats_.nacks_received);
+  metrics.deploys_ok.Set(stats_.deploys_ok);
+  metrics.deploys_rejected.Set(stats_.deploys_rejected);
+  metrics.uninstalls.Set(stats_.uninstalls);
+  metrics.restores.Set(stats_.restores);
+  metrics.repushes.Set(stats_.repushes);
+  metrics.rollback_pushes.Set(stats_.rollback_pushes);
+  metrics.connections_reaped.Set(stats_.connections_reaped);
+  metrics.status_write_retries.Set(stats_.status_write_retries);
+  metrics.status_writes_lost.Set(stats_.status_writes_lost);
+  metrics.compactions.Set(stats_.compactions);
+  metrics.durability_degraded.Set(stats_.durability_degraded ? 1 : 0);
 }
 
 // --- internals ---------------------------------------------------------------------------
@@ -885,13 +816,12 @@ support::Result<const VehicleModelConf*> TrustedServer::ModelConf(
   return &it->second;
 }
 
-std::string TrustedServer::DependentsOf(const Shard& shard,
-                                        std::uint32_t vehicle,
+std::string TrustedServer::DependentsOf(std::uint32_t vehicle,
                                         const std::string& app_name) const {
   std::string dependents;
-  for (std::uint32_t r = shard.store.row_head(vehicle); r != kNil;
-       r = shard.store.row(r).next) {
-    const std::string& other = shard.store.row(r).manifest->app_name;
+  for (std::uint32_t r = store_.row_head(vehicle); r != kNil;
+       r = store_.row(r).next) {
+    const std::string& other = store_.row(r).manifest->app_name;
     if (other == app_name) continue;
     auto app_it = apps_.find(other);
     if (app_it == apps_.end()) continue;
@@ -904,32 +834,32 @@ std::string TrustedServer::DependentsOf(const Shard& shard,
   return dependents;
 }
 
-void TrustedServer::WriteStatus(Shard& shard, std::string_view vin,
+void TrustedServer::WriteStatus(std::string_view vin,
                                 const FleetStore::InstallRow& row, Want want,
                                 DbState state) {
   if (status_db_ == nullptr) return;
   const BatchManifest& manifest = *row.manifest;
   StatusDb::EncodeParagraph(
       ParagraphHead{vin, manifest.app_name, manifest.version, want, state},
-      &manifest, shard.wal_buffer);
-  AppendShardRecord(shard, vin);
+      &manifest, wal_buffer_);
+  AppendStatusRecord(vin);
 }
 
-void TrustedServer::WriteStatusRemoved(Shard& shard, std::string_view vin,
+void TrustedServer::WriteStatusRemoved(std::string_view vin,
                                        std::string_view app_name,
                                        std::string_view version, Want want) {
   if (status_db_ == nullptr) return;
   StatusDb::EncodeParagraph(
       ParagraphHead{vin, app_name, version, want, DbState::kNotInstalled},
-      nullptr, shard.wal_buffer);
-  AppendShardRecord(shard, vin);
+      nullptr, wal_buffer_);
+  AppendStatusRecord(vin);
 }
 
-void TrustedServer::AppendShardRecord(Shard& shard, std::string_view vin) {
-  (void)AppendDurable(shard.wal_buffer);
+void TrustedServer::AppendStatusRecord(std::string_view vin) {
+  (void)AppendDurable(wal_buffer_);
   support::Tracer::Instance().Instant(
-      TraceLane(shard), "wal.append", "wal", network_.simulator().Now(),
-      {"bytes", static_cast<std::uint64_t>(shard.wal_buffer.size())}, {}, {},
+      kFleetLane, "wal.append", "wal", network_.simulator().Now(),
+      {"bytes", static_cast<std::uint64_t>(wal_buffer_.size())}, {}, {},
       "vin", vin);
 }
 
@@ -937,28 +867,28 @@ support::Status TrustedServer::AppendDurable(
     std::span<const std::uint8_t> payload) {
   if (status_db_ == nullptr) return support::OkStatus();
   ServerMetrics::Get().wal_append_bytes.Observe(payload.size());
-  if (durability_degraded_) {
+  if (stats_.durability_degraded) {
     // Already degraded: one attempt, no retry storm on a dead sink.
     auto status = status_db_->AppendRaw(payload);
-    if (!status.ok()) ++status_writes_lost_;
+    if (!status.ok()) ++stats_.status_writes_lost;
     return status;
   }
   auto status = status_db_->AppendRaw(payload);
   for (int attempt = 0; !status.ok() && attempt < kStatusRetryBudget;
        ++attempt) {
-    ++status_write_retries_;
+    ++stats_.status_write_retries;
     // Escalating-yield backoff: enough to let a transient fs hiccup
     // clear, without sleeping the sim thread.
     for (int i = 0; i <= attempt; ++i) std::this_thread::yield();
     status = status_db_->AppendRaw(payload);
   }
   if (!status.ok()) {
-    ++status_writes_lost_;
+    ++stats_.status_writes_lost;
     // Durability degrades, availability does not: the in-memory
     // transition proceeds; the flag is sticky and the operator sees one
     // warning at the transition (per-write noise would drown it).
-    if (!durability_degraded_) {
-      durability_degraded_ = true;
+    if (!stats_.durability_degraded) {
+      stats_.durability_degraded = true;
       DACM_LOG_WARN("server")
           << "durability degraded: status log write failed after "
           << kStatusRetryBudget << " retries: " << status.message();
@@ -969,13 +899,11 @@ support::Status TrustedServer::AppendDurable(
 
 support::Status TrustedServer::RecoverInstallDb(
     std::span<const std::uint8_t> image) {
-  for (const Shard& shard : shards_) {
-    for (std::uint32_t v = 0; v < shard.store.size(); ++v) {
-      if (shard.store.bound(v) && shard.store.row_head(v) != kNil) {
-        return support::FailedPrecondition(
-            "recover requires empty install tables (vehicle " +
-            std::string(shard.store.VinOf(v)) + " already has rows)");
-      }
+  for (std::uint32_t v = 0; v < store_.size(); ++v) {
+    if (store_.bound(v) && store_.row_head(v) != kNil) {
+      return support::FailedPrecondition(
+          "recover requires empty install tables (vehicle " +
+          std::string(store_.VinOf(v)) + " already has rows)");
     }
   }
   const sim::SimTime replay_started_at = network_.simulator().Now();
@@ -985,9 +913,8 @@ support::Status TrustedServer::RecoverInstallDb(
   }
   std::uint64_t rows_created = 0;
   for (StatusParagraph& paragraph : replayed.paragraphs) {
-    Shard& shard = ShardFor(paragraph.vin);
-    const std::uint32_t vehicle = shard.store.Find(paragraph.vin);
-    if (vehicle == kNil || !shard.store.bound(vehicle)) {
+    const std::uint32_t vehicle = store_.Find(paragraph.vin);
+    if (vehicle == kNil || !store_.bound(vehicle)) {
       return support::NotFound("recovered paragraph names unbound VIN " +
                                paragraph.vin + " (re-bind the fleet first)");
     }
@@ -1033,8 +960,8 @@ support::Status TrustedServer::RecoverInstallDb(
     // Package bytes are NOT persisted; the first wave that needs the
     // payload regenerates it from the re-uploaded catalog
     // (MaterializeRowPackages).
-    const std::uint32_t r = shard.store.AddRow(vehicle);
-    FleetStore::InstallRow& row = shard.store.row(r);
+    const std::uint32_t r = store_.AddRow(vehicle);
+    FleetStore::InstallRow& row = store_.row(r);
     row.state = state;
     row.manifest = PackageCache::RecoveredManifest(
         paragraph.app, paragraph.version, paragraph.plugins);
@@ -1084,7 +1011,7 @@ support::Status TrustedServer::RestoreCatalog(const CatalogImage& image) {
   for (const App& app : image.apps) {
     apps_.try_emplace(app.name, app);
   }
-  // Bindings rebuild both the shard columns and the per-user VIN cache;
+  // Bindings rebuild both the store columns and the per-user VIN cache;
   // VINs the caller already re-bound are left as they are.
   for (const CatalogBinding& binding : image.bindings) {
     if (binding.owner >= users_.size()) {
@@ -1097,10 +1024,9 @@ support::Status TrustedServer::RestoreCatalog(const CatalogImage& image) {
       return support::Corrupted("recovered binding " + binding.vin +
                                 " names unknown model " + binding.model);
     }
-    Shard& shard = ShardFor(binding.vin);
-    const std::uint32_t existing = shard.store.Find(binding.vin);
-    if (existing != kNil && shard.store.bound(existing)) continue;
-    shard.store.Bind(shard.store.Intern(binding.vin), model_it->second,
+    const std::uint32_t existing = store_.Find(binding.vin);
+    if (existing != kNil && store_.bound(existing)) continue;
+    store_.Bind(store_.Intern(binding.vin), model_it->second,
                      UserId(binding.owner));
     users_[binding.owner].vins.push_back(binding.vin);
   }
@@ -1128,39 +1054,34 @@ support::Status TrustedServer::Compact() {
             [](const App* a, const App* b) { return a->name < b->name; });
   image.apps.reserve(apps.size());
   for (const App* app : apps) image.apps.push_back(*app);
-  for (const Shard& shard : shards_) {
-    for (std::uint32_t v = 0; v < shard.store.size(); ++v) {
-      if (!shard.store.bound(v)) continue;
-      image.bindings.push_back(CatalogBinding{
-          std::string(shard.store.VinOf(v)), ModelName(shard.store.model(v)),
-          shard.store.owner(v).value()});
-    }
+  for (std::uint32_t v = 0; v < store_.size(); ++v) {
+    if (!store_.bound(v)) continue;
+    image.bindings.push_back(CatalogBinding{std::string(store_.VinOf(v)),
+                                            ModelName(store_.model(v)),
+                                            store_.owner(v).value()});
   }
   DACM_RETURN_IF_ERROR(checkpoint.Append(EncodeCatalogImage(image)));
   // One paragraph per live install row — exactly what WriteStatus would
   // record for the row's current state, so replaying the checkpoint
   // reproduces this server.
   support::Bytes record;
-  for (const Shard& shard : shards_) {
-    for (std::uint32_t v = 0; v < shard.store.size(); ++v) {
-      if (!shard.store.bound(v)) continue;
-      for (std::uint32_t r = shard.store.row_head(v); r != kNil;
-           r = shard.store.row(r).next) {
-        const FleetStore::InstallRow& row = shard.store.row(r);
-        const BatchManifest& manifest = *row.manifest;
-        StatusDb::EncodeParagraph(
-            ParagraphHead{shard.store.VinOf(v), manifest.app_name,
-                          manifest.version, WantFor(row.state),
-                          DbStateFor(row.state)},
-            &manifest, record);
-        DACM_RETURN_IF_ERROR(checkpoint.Append(record));
-      }
+  for (std::uint32_t v = 0; v < store_.size(); ++v) {
+    if (!store_.bound(v)) continue;
+    for (std::uint32_t r = store_.row_head(v); r != kNil;
+         r = store_.row(r).next) {
+      const FleetStore::InstallRow& row = store_.row(r);
+      const BatchManifest& manifest = *row.manifest;
+      StatusDb::EncodeParagraph(
+          ParagraphHead{store_.VinOf(v), manifest.app_name, manifest.version,
+                        WantFor(row.state), DbStateFor(row.state)},
+          &manifest, record);
+      DACM_RETURN_IF_ERROR(checkpoint.Append(record));
     }
   }
   // Rotation failure leaves the raw log intact — durability is unchanged,
   // only the compaction deferred — so it does not degrade the server.
   DACM_RETURN_IF_ERROR(status_db_->Rotate(checkpoint.image()));
-  ++compactions_;
+  ++stats_.compactions;
   support::Tracer::Instance().Instant(
       0, "wal.rotate", "wal", network_.simulator().Now(),
       {"records", checkpoint.records()},
@@ -1182,30 +1103,27 @@ void TrustedServer::MaybeCompact() {
 
 template <typename Sink>
 void TrustedServer::FormatFleet(Sink& sink) const {
-  // Sorted by VIN across shards, rows sorted by app within a vehicle:
-  // the text must not depend on shard placement or on whether a row was
-  // created live (deploy order) or by recovery (sorted replay order).
-  std::vector<std::tuple<std::string_view, const Shard*, std::uint32_t>> order;
-  for (const Shard& shard : shards_) {
-    for (std::uint32_t v = 0; v < shard.store.size(); ++v) {
-      if (shard.store.bound(v)) order.emplace_back(shard.store.VinOf(v), &shard, v);
-    }
+  // Sorted by VIN, rows sorted by app within a vehicle: the text must
+  // not depend on handle order (Hello vs binding first) or on whether a
+  // row was created live (deploy order) or by recovery (sorted replay
+  // order).
+  std::vector<std::pair<std::string_view, std::uint32_t>> order;
+  for (std::uint32_t v = 0; v < store_.size(); ++v) {
+    if (store_.bound(v)) order.emplace_back(store_.VinOf(v), v);
   }
-  std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
-    return std::get<0>(a) < std::get<0>(b);
-  });
+  std::sort(order.begin(), order.end());
   std::vector<const FleetStore::InstallRow*> rows;
-  for (const auto& [vin, shard, v] : order) {
+  for (const auto& [vin, v] : order) {
     sink.Append(vin);
     sink.Append(" model=");
-    sink.Append(ModelName(shard->store.model(v)));
+    sink.Append(ModelName(store_.model(v)));
     sink.Append(" owner=");
-    support::AppendNumber(sink, shard->store.owner(v).value());
+    support::AppendNumber(sink, store_.owner(v).value());
     sink.Append("\n");
     rows.clear();
-    for (std::uint32_t r = shard->store.row_head(v); r != kNil;
-         r = shard->store.row(r).next) {
-      rows.push_back(&shard->store.row(r));
+    for (std::uint32_t r = store_.row_head(v); r != kNil;
+         r = store_.row(r).next) {
+      rows.push_back(&store_.row(r));
     }
     std::sort(rows.begin(), rows.end(),
               [](const FleetStore::InstallRow* a,
@@ -1244,7 +1162,7 @@ void TrustedServer::OnAccept(std::shared_ptr<sim::NetPeer> peer) {
   // Reap accepted-but-dead peers that never completed a Hello (a link
   // flap between Connect and the Hello send strands them here); pruning
   // on every accept bounds pending_ by the number of live handshakes.
-  pending_reaped_ += std::erase_if(
+  stats_.connections_reaped += std::erase_if(
       pending_,
       [](const std::shared_ptr<sim::NetPeer>& old) { return !old->connected(); });
   AttachReceiveHandler(*peer);
@@ -1252,13 +1170,13 @@ void TrustedServer::OnAccept(std::shared_ptr<sim::NetPeer> peer) {
 }
 
 void TrustedServer::AttachReceiveHandler(sim::NetPeer& peer) {
-  peer.SetReceiveHandler([this, raw = &peer, link = VehicleRef{}](
+  peer.SetReceiveHandler([this, raw = &peer, link = kNil](
                              const support::SharedBytes& data) mutable {
     OnVehicleMessage(raw, link, data);
   });
 }
 
-void TrustedServer::OnVehicleMessage(sim::NetPeer* peer, VehicleRef& link,
+void TrustedServer::OnVehicleMessage(sim::NetPeer* peer, std::uint32_t& link,
                                      const support::SharedBytes& data) {
   // Zero-copy parse: the view aliases `data`, which outlives this handler.
   auto envelope = pirte::EnvelopeView::Parse(data);
@@ -1268,26 +1186,24 @@ void TrustedServer::OnVehicleMessage(sim::NetPeer* peer, VehicleRef& link,
   }
 
   if (envelope->kind == pirte::Envelope::Kind::kHello) {
-    // Adopt the connection into the VIN's shard registry, reaping any
+    // Adopt the connection into the VIN's connection columns, reaping any
     // dead predecessors (ECMs redial on a periodic alarm, so long link
     // flaps would otherwise accumulate peers without bound).
     const std::string_view vin = envelope->vin;
-    const std::size_t shard_index = ShardIndex(vin);
-    Shard& shard = shards_[shard_index];
     // Intern even before the binding exists: the handle anchors the
     // connection columns and the connection's link.
-    const std::uint32_t vehicle = shard.store.Intern(vin);
+    const std::uint32_t vehicle = store_.Intern(vin);
     for (std::size_t i = 0; i < pending_.size(); ++i) {
       if (pending_[i].get() != peer) continue;
       // A reaped connection is never `peer` itself (that one is still
       // pending), so re-attaching its handler never replaces a running one.
-      shard.stats.connections_reaped += shard.store.ReapDeadPeers(
+      stats_.connections_reaped += store_.ReapDeadPeers(
           vehicle, [this](sim::NetPeer* old) { AttachReceiveHandler(*old); });
-      shard.store.AddPeer(vehicle, std::move(pending_[i]));
+      store_.AddPeer(vehicle, std::move(pending_[i]));
       pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
       break;
     }
-    link = VehicleRef{static_cast<std::uint32_t>(shard_index), vehicle};
+    link = vehicle;
     DACM_LOG_INFO("server") << "vehicle online: " << vin;
     return;
   }
@@ -1296,27 +1212,23 @@ void TrustedServer::OnVehicleMessage(sim::NetPeer* peer, VehicleRef& link,
   // names it (the common case: a string compare instead of a hash lookup)
   // or names nothing; any other VIN is looked up.
   std::string_view vin = envelope->vin;
-  std::size_t shard_index = link.shard;
-  std::uint32_t handle = link.vehicle;
-  if (handle != kNil &&
-      (vin.empty() || vin == shards_[shard_index].store.VinOf(handle))) {
-    vin = shards_[shard_index].store.VinOf(handle);
+  std::uint32_t handle = link;
+  if (handle != kNil && (vin.empty() || vin == store_.VinOf(handle))) {
+    vin = store_.VinOf(handle);
   } else if (!vin.empty()) {
-    shard_index = ShardIndex(vin);
-    handle = shards_[shard_index].store.Find(vin);
+    handle = store_.Find(vin);
   } else {
     return;  // never said Hello, or reaped since
   }
   // Helloed-but-unbound VINs have a handle but no vehicle (the historic
   // accounting counts their plain acks and drops their batches).
   const std::uint32_t vehicle =
-      handle != kNil && shards_[shard_index].store.bound(handle) ? handle
-                                                                  : kNil;
+      handle != kNil && store_.bound(handle) ? handle : kNil;
 
   // Acknowledgements are the server's highest-volume inbound traffic
   // (thousands per campaign).  Delivery only routes: it peeks the
-  // message's leading type byte, resolves the owning shard and vehicle
-  // handle, and stages the raw bytes; the full parse runs at the flush
+  // message's leading type byte, resolves the vehicle handle, and
+  // stages the raw bytes; the full parse runs at the flush
   // scheduled for this arrival timestamp, one event per burst.
   const std::span<const std::uint8_t> blob = envelope->message;
   const bool ack_like =
@@ -1333,8 +1245,7 @@ void TrustedServer::OnVehicleMessage(sim::NetPeer* peer, VehicleRef& link,
   }
   // Zero-copy staging: the delivered buffer stays alive by refcount, and
   // with it the VIN view when the envelope supplied it.
-  ack_inbox_.push_back(StagedAck{static_cast<std::uint32_t>(shard_index),
-                                 vehicle, vin, data, blob});
+  ack_inbox_.push_back(StagedAck{vehicle, vin, data, blob});
   ScheduleAckFlush();
 }
 
@@ -1380,7 +1291,6 @@ void TrustedServer::FlushAckInboxes() {
 }
 
 void TrustedServer::ApplyStagedAck(const StagedAck& staged) {
-  Shard& shard = shards_[staged.shard];
   auto parsed = pirte::PirteMessageView::Parse(staged.message);
   if (!parsed.ok()) {
     // Routing only peeked the type byte; a truncated ack surfaces here.
@@ -1389,27 +1299,27 @@ void TrustedServer::ApplyStagedAck(const StagedAck& staged) {
   }
   const pirte::PirteMessageView& message = *parsed;
   if (message.type == pirte::MessageType::kAck) {
-    ++shard.stats.acks_received;
-    if (!message.ok) ++shard.stats.nacks_received;
+    ++stats_.acks_received;
+    if (!message.ok) ++stats_.nacks_received;
     if (staged.vehicle == kNil) return;
-    ApplyAck(shard, staged.vehicle, message.plugin_name, message.ok);
+    ApplyAck(staged.vehicle, message.plugin_name, message.ok);
   } else if (message.type == pirte::MessageType::kAckBatch) {
     if (staged.vehicle == kNil) return;
     if (!message.ok) {
       // Typed whole-batch rejection: the vehicle could not process the
       // campaign push at all; plugin_name carries the batch's app label.
-      ++shard.stats.acks_received;
-      ++shard.stats.nacks_received;
-      ApplyBatchNack(shard, staged.vehicle, message.plugin_name,
+      ++stats_.acks_received;
+      ++stats_.nacks_received;
+      ApplyBatchNack(staged.vehicle, message.plugin_name,
                      message.detail);
       return;
     }
     auto status = pirte::ForEachAckInBatch(
         message.payload,
         [&](std::string_view plugin, bool ok, std::string_view /*detail*/) {
-          ++shard.stats.acks_received;
-          if (!ok) ++shard.stats.nacks_received;
-          ApplyAck(shard, staged.vehicle, plugin, ok);
+          ++stats_.acks_received;
+          if (!ok) ++stats_.nacks_received;
+          ApplyAck(staged.vehicle, plugin, ok);
         });
     if (!status.ok()) {
       DACM_LOG_WARN("server") << "undecodable ack batch from " << staged.vin;
@@ -1417,16 +1327,15 @@ void TrustedServer::ApplyStagedAck(const StagedAck& staged) {
   }
 }
 
-support::Status TrustedServer::PushToVehicle(Shard& shard, sim::NetPeer* peer,
+support::Status TrustedServer::PushToVehicle(sim::NetPeer* peer,
                                              std::string_view vin,
                                              const pirte::PirteMessage& message) {
   return PushWireToVehicle(
-      shard, peer, vin,
+      peer, vin,
       support::SharedBytes(pirte::SerializeEnveloped(vin, message)));
 }
 
-support::Status TrustedServer::PushWireToVehicle(Shard& shard,
-                                                 sim::NetPeer* peer,
+support::Status TrustedServer::PushWireToVehicle(sim::NetPeer* peer,
                                                  std::string_view vin,
                                                  const support::SharedBytes& wire) {
   if (wire.empty()) {
@@ -1438,26 +1347,25 @@ support::Status TrustedServer::PushWireToVehicle(Shard& shard,
   }
   if (peer != nullptr) {
     DACM_RETURN_IF_ERROR(peer->Send(wire));
-    ++shard.stats.packages_pushed;
+    ++stats_.packages_pushed;
     return support::OkStatus();
   }
   return support::Unavailable("vehicle offline: " + std::string(vin));
 }
 
-void TrustedServer::ApplyBatchNack(Shard& shard, std::uint32_t vehicle,
+void TrustedServer::ApplyBatchNack(std::uint32_t vehicle,
                                    std::string_view app_name,
                                    std::string_view detail) {
   // The vehicle rejected a whole batch.  Only reachable through a failed
   // kAckBatch, so an app and a plug-in sharing a name cannot collide.
-  FleetStore& store = shard.store;
-  for (std::uint32_t r = store.row_head(vehicle); r != kNil;
-       r = store.row(r).next) {
-    FleetStore::InstallRow& row = store.row(r);
+  for (std::uint32_t r = store_.row_head(vehicle); r != kNil;
+       r = store_.row(r).next) {
+    FleetStore::InstallRow& row = store_.row(r);
     if (row.manifest->app_name != app_name) continue;
     if (row.state == InstallState::kPending) {
       // Fail the pending row outright — otherwise it would wait forever
       // for per-plug-in acks that will never come, blocking retries.
-      WriteStatus(shard, store.VinOf(vehicle), row, Want::kInstall,
+      WriteStatus(store_.VinOf(vehicle), row, Want::kInstall,
                   DbState::kErrorState);
       row.state = InstallState::kFailed;
       row.payload = nullptr;
@@ -1465,7 +1373,7 @@ void TrustedServer::ApplyBatchNack(Shard& shard, std::uint32_t vehicle,
       // already-acked ones keep their value).
       row.acked = FullMask(row.manifest->plugins.size());
       DACM_LOG_WARN("server") << "app " << row.manifest->app_name
-                              << " batch-rejected on " << store.VinOf(vehicle)
+                              << " batch-rejected on " << store_.VinOf(vehicle)
                               << ": " << detail;
       return;
     }
@@ -1473,23 +1381,22 @@ void TrustedServer::ApplyBatchNack(Shard& shard, std::uint32_t vehicle,
       // A rejected kUninstallBatch: re-arm the row so the rollback
       // campaign's next wave pushes it again.  (kDeinstall, kInstalled)
       // recovers back into an installed row the next wave retries.
-      WriteStatus(shard, store.VinOf(vehicle), row, Want::kDeinstall,
+      WriteStatus(store_.VinOf(vehicle), row, Want::kDeinstall,
                   DbState::kInstalled);
       row.state = InstallState::kInstalled;
       DACM_LOG_WARN("server") << "uninstall batch of " << row.manifest->app_name
-                              << " rejected on " << store.VinOf(vehicle)
+                              << " rejected on " << store_.VinOf(vehicle)
                               << ": " << detail;
       return;
     }
   }
 }
 
-void TrustedServer::ApplyAck(Shard& shard, std::uint32_t vehicle,
+void TrustedServer::ApplyAck(std::uint32_t vehicle,
                              std::string_view plugin_name, bool ok) {
-  FleetStore& store = shard.store;
-  for (std::uint32_t r = store.row_head(vehicle); r != kNil;
-       r = store.row(r).next) {
-    FleetStore::InstallRow& row = store.row(r);
+  for (std::uint32_t r = store_.row_head(vehicle); r != kNil;
+       r = store_.row(r).next) {
+    FleetStore::InstallRow& row = store_.row(r);
     if (row.state != InstallState::kPending &&
         row.state != InstallState::kUninstalling) {
       continue;
@@ -1507,12 +1414,12 @@ void TrustedServer::ApplyAck(Shard& shard, std::uint32_t vehicle,
       // Re-evaluate the row.
       if (row.state == InstallState::kPending) {
         if (RowAnyFailed(row)) {
-          WriteStatus(shard, store.VinOf(vehicle), row, Want::kInstall,
+          WriteStatus(store_.VinOf(vehicle), row, Want::kInstall,
                       DbState::kErrorState);
           row.state = InstallState::kFailed;
           row.payload = nullptr;  // no more retry re-pushes of this batch
         } else if (RowAllAcked(row)) {
-          WriteStatus(shard, store.VinOf(vehicle), row, Want::kInstall,
+          WriteStatus(store_.VinOf(vehicle), row, Want::kInstall,
                       DbState::kInstalled);
           row.state = InstallState::kInstalled;
           // Converged: release the payload refcount.  When the cohort's
@@ -1527,12 +1434,12 @@ void TrustedServer::ApplyAck(Shard& shard, std::uint32_t vehicle,
             ServerMetrics::Get().deploy_roundtrip_us.Observe(now -
                                                              row.pushed_at);
             support::Tracer::Instance().Span(
-                TraceLane(shard), "deploy.roundtrip", "server", row.pushed_at,
-                now - row.pushed_at, {}, {}, {}, "vin", store.VinOf(vehicle));
+                kFleetLane, "deploy.roundtrip", "server", row.pushed_at,
+                now - row.pushed_at, {}, {}, {}, "vin", store_.VinOf(vehicle));
           }
           DACM_LOG_INFO("server") << "app " << row.manifest->app_name
                                   << " fully acknowledged on "
-                                  << store.VinOf(vehicle);
+                                  << store_.VinOf(vehicle);
         }
       } else if (row.state == InstallState::kUninstalling && RowAllAcked(row)) {
         if (RowAnyFailed(row)) {
@@ -1541,20 +1448,20 @@ void TrustedServer::ApplyAck(Shard& shard, std::uint32_t vehicle,
           // vehicle may still hold — a rollback campaign's next wave
           // retries, and a retry loop that never succeeds surfaces as
           // kExhausted rather than a false convergence.
-          WriteStatus(shard, store.VinOf(vehicle), row, Want::kDeinstall,
+          WriteStatus(store_.VinOf(vehicle), row, Want::kDeinstall,
                       DbState::kInstalled);
           row.state = InstallState::kInstalled;
           DACM_LOG_WARN("server") << "uninstall of " << row.manifest->app_name
-                                  << " nacked on " << store.VinOf(vehicle)
+                                  << " nacked on " << store_.VinOf(vehicle)
                                   << "; row re-armed";
         } else {
           // The freed unique ids disappear with the row (the bitmap is
           // derived); the tombstone erases the pair from the status DB
           // on replay.
-          WriteStatusRemoved(shard, store.VinOf(vehicle),
+          WriteStatusRemoved(store_.VinOf(vehicle),
                              row.manifest->app_name, row.manifest->version,
                              Want::kDeinstall);
-          store.RemoveRow(vehicle, r);
+          store_.RemoveRow(vehicle, r);
         }
       }
       return;

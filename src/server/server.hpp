@@ -13,11 +13,10 @@
 //    lifecycle commands, and return acknowledgements that are tracked in
 //    the InstalledAPP table.
 //
-// Scale-out: per-vehicle state lives in packed per-shard columns
+// Scale-out: per-vehicle state lives in one packed columnar FleetStore
 // (server/fleet_store.hpp) — VINs interned to dense u32 handles, install
-// rows in a slab keyed by handle — partitioned by VIN hash.  Shards are a
-// data partition, not threads: campaigns visit vehicles in the caller's
-// order on the calling thread, whatever the shard count.  Package
+// rows in a slab keyed by handle.  Campaigns visit vehicles in the
+// caller's order on the calling thread.  Package
 // generation is content-addressed (server/package_cache.hpp): a campaign
 // over millions of vehicles generates and serializes each distinct
 // (model, app, version, id-layout) batch exactly once and re-pushes the
@@ -73,8 +72,7 @@ struct ServerStats {
   /// retry loop — the in-memory state is ahead of the durable log, and a
   /// crash from here loses the unlogged transitions.  Set once, never
   /// cleared (the log's durable prefix stays short of reality until a
-  /// successful compaction rewrites it).  Aggregate-only: meaningless on
-  /// per-shard stats.
+  /// successful compaction rewrites it).
   bool durability_degraded = false;
   /// Status-log appends that succeeded only after retrying.
   std::uint64_t status_write_retries = 0;
@@ -99,21 +97,11 @@ struct WaveOutcome {
   support::Status status;
 };
 
-/// A VIN resolved to the shard and FleetStore handle holding it.  Handles
-/// are append-only and never invalidated, so a resolved ref stays good for
-/// the server's lifetime.  vehicle == FleetStore::kNil: the VIN was
-/// unknown when resolved (shard is still the VIN's own); resolve again to
-/// see a later Hello or binding.  A ref says nothing about binding —
-/// consumers check that on every use.
-struct VehicleRef {
-  std::uint32_t shard = 0;
-  std::uint32_t vehicle = FleetStore::kNil;
-};
-
-/// One VIN of a campaign wave, resolved by the caller.
+/// One VIN of a campaign wave with its FleetStore handle, resolved by the
+/// caller (TrustedServer::ResolveVehicle; FleetStore::kNil = unknown).
 struct WaveTarget {
   std::string_view vin;
-  VehicleRef ref;
+  std::uint32_t vehicle = FleetStore::kNil;
 };
 
 /// What a campaign evaluation sees of one (vehicle, app) row.
@@ -127,9 +115,6 @@ enum class RowProbe : std::uint8_t {
 };
 
 struct ServerOptions {
-  /// Number of per-vehicle state partitions (by VIN hash).  A data
-  /// layout choice only: the observable protocol does not depend on it.
-  std::size_t shard_count = 1;
   /// Durable install DB (server/status_db.hpp): when set, every
   /// InstalledApp mutation writes a status paragraph ahead of the
   /// visible transition, and RecoverInstallDb() can rebuild the
@@ -262,13 +247,16 @@ class TrustedServer {
 
   // --- campaign-engine entry points (see server/campaign.hpp) -----------------
 
-  /// Resolves `vin` to its shard and handle (one hash of the VIN; the
-  /// campaign engine pays it once per row, not once per tick).
-  VehicleRef ResolveVehicle(std::string_view vin) const;
+  /// Resolves `vin` to its FleetStore handle, or FleetStore::kNil if the
+  /// server has never seen it (one hash of the VIN; the campaign engine
+  /// pays it once per row, not once per tick).  Handles are append-only
+  /// and never invalidated; a handle says nothing about binding —
+  /// consumers check that on every use.
+  std::uint32_t ResolveVehicle(std::string_view vin) const;
 
   /// Campaign-evaluation probe of `app_name` on a resolved vehicle.
   /// Builds no Status and no string — AppState is for one-off queries.
-  RowProbe ProbeRow(VehicleRef ref, std::string_view app_name) const;
+  RowProbe ProbeRow(std::uint32_t vehicle, std::string_view app_name) const;
 
   /// One orchestrated campaign wave: per target, performs whatever the
   /// kind requires right now — a fresh batched deploy, a re-push of the
@@ -302,19 +290,13 @@ class TrustedServer {
   bool HasVehicle(const std::string& vin) const;
   bool VehicleOnline(const std::string& vin) const;
   bool HasApp(const std::string& app_name) const;
-  /// Aggregated over all shards.
-  ServerStats stats() const;
+  const ServerStats& stats() const { return stats_; }
   /// Cumulative wall time spent inside ack-inbox flushes.  bench_fleet
   /// reports it as a share of the campaign's wall time.
   std::uint64_t ack_flush_nanos() const { return flush_ns_; }
-  /// One shard's counters (index < shard_count()).
-  const ServerStats& shard_stats(std::size_t shard) const {
-    return shards_[shard].stats;
-  }
   /// Content-addressed package cache (diagnostics/tests).
   const PackageCache& package_cache() const { return cache_; }
   const std::string& address() const { return address_; }
-  std::size_t shard_count() const { return shards_.size(); }
 
  private:
   /// One inbound acknowledgement, staged at delivery and applied at the
@@ -322,11 +304,10 @@ class TrustedServer {
   /// alive by refcount and stores the message view (aliasing that
   /// buffer) — no copy per ack.
   struct StagedAck {
-    /// Owning shard and vehicle handle, resolved at staging time; vehicle
-    /// is kNil for unknown/unbound VINs.
-    std::uint32_t shard = 0;
+    /// Vehicle handle, resolved at staging time; kNil for unknown/unbound
+    /// VINs.
     std::uint32_t vehicle = FleetStore::kNil;
-    /// Aliases the envelope buffer below or the shard's VIN arena.
+    /// Aliases the envelope buffer below or the store's VIN arena.
     std::string_view vin;
     support::SharedBytes envelope;  // the delivered buffer
     /// The embedded kAck/kAckBatch bytes, in place.  Routing only peeks
@@ -334,31 +315,9 @@ class TrustedServer {
     std::span<const std::uint8_t> message;
   };
 
-  // Per-vehicle state partition.
-  struct Shard {
-    /// Packed columnar vehicle/row/connection state (fleet_store.hpp).
-    FleetStore store;
-    ServerStats stats;
-    /// Status-record scratch: every paragraph this shard writes is
-    /// encoded here, so steady-state WAL appends allocate nothing.
-    support::Bytes wal_buffer;
-  };
-
-  std::size_t ShardIndex(std::string_view vin) const;
-  Shard& ShardFor(std::string_view vin);
-  const Shard& ShardFor(std::string_view vin) const;
-
-  /// Trace track of `shard`: lane (shard index + 1), so each shard's
-  /// per-vehicle events get their own track; lane 0 carries the server-wide
-  /// events.
-  std::uint32_t TraceLane(const Shard& shard) const {
-    return static_cast<std::uint32_t>(&shard - shards_.data()) + 1;
-  }
-
-  /// Snapshots the aggregated ServerStats into the process metrics
-  /// registry.  Called after each ack flush and campaign — the per-shard
-  /// counters stay plain fields on the hot path; only the fold touches
-  /// the registry.
+  /// Snapshots ServerStats into the process metrics registry.  Called
+  /// after each ack flush and campaign — the counters stay plain fields
+  /// on the hot path; only the fold touches the registry.
   void FoldStatsToMetrics() const;
 
   support::Status CheckOwnership(UserId user, UserId owner,
@@ -373,81 +332,74 @@ class TrustedServer {
   /// unbound: rejected as an unknown VIN).  `batched` selects one
   /// kInstallBatch push (campaigns) vs one push per plug-in (interactive
   /// Deploy).
-  support::Status DeployOnShard(Shard& shard, UserId user,
-                                std::uint32_t vehicle, std::string_view vin,
-                                const App& app, bool batched);
+  support::Status DeployVehicle(UserId user, std::uint32_t vehicle,
+                                std::string_view vin, const App& app,
+                                bool batched);
 
   /// One target of a campaign wave; `app` is null for rollback waves.
-  WaveOutcome WavePushOnShard(Shard& shard, UserId user,
-                              const WaveTarget& target,
-                              const std::string& app_name, const App* app,
-                              CampaignKind kind);
+  WaveOutcome WavePushTarget(UserId user, const WaveTarget& target,
+                             const std::string& app_name, const App* app,
+                             CampaignKind kind);
   /// Re-pushes the install batch of a stale kPending row (previous
   /// wave's acks were lost), resetting its ack masks.  Rematerializes the
   /// payload — dropped on convergence, never persisted — before pushing,
   /// so it never sends an empty wire.
-  support::Status RepushInstallBatch(Shard& shard, std::uint32_t vehicle,
-                                     std::uint32_t row);
+  support::Status RepushInstallBatch(std::uint32_t vehicle, std::uint32_t row);
   /// Regenerates `row`'s packages from the catalog: derives the occupied ids
   /// of the vehicle's *other* rows, acquires the cached batch for that
   /// layout (deterministic generation reproduces the recorded ids when
   /// nothing shifted), and records the refreshed paragraph.  Used when
   /// the payload is absent — after RecoverInstallDb, or when convergence
   /// dropped it.
-  support::Status MaterializeRowPackages(Shard& shard, std::uint32_t vehicle,
+  support::Status MaterializeRowPackages(std::uint32_t vehicle,
                                          std::uint32_t row);
   /// Names of installed apps that depend on `app_name` ("" when none).
-  std::string DependentsOf(const Shard& shard, std::uint32_t vehicle,
+  std::string DependentsOf(std::uint32_t vehicle,
                            const std::string& app_name) const;
 
   // Pusher internals.
   void OnAccept(std::shared_ptr<sim::NetPeer> peer);
   /// Installs `peer`'s receive handler.  The handler owns the
-  /// connection's link — the VehicleRef its Hello announced (kNil until
-  /// then) — so the link lives and dies with the connection.
+  /// connection's link — the vehicle handle its Hello announced (kNil
+  /// until then) — so the link lives and dies with the connection.
   /// Re-attaching is how a reaped connection forgets its Hello: messages
   /// still in flight on it must name their VIN to be routed.
   void AttachReceiveHandler(sim::NetPeer& peer);
-  void OnVehicleMessage(sim::NetPeer* peer, VehicleRef& link,
+  void OnVehicleMessage(sim::NetPeer* peer, std::uint32_t& link,
                         const support::SharedBytes& data);
   /// Schedules the ack-inbox flush event at Now() (once per batch of
   /// arrivals).
   void ScheduleAckFlush();
   /// Pushes over `peer`, the vehicle's first live connection
   /// (FleetStore::FirstConnectedPeer); null means offline (kUnavailable).
-  support::Status PushToVehicle(Shard& shard, sim::NetPeer* peer,
-                                std::string_view vin,
+  support::Status PushToVehicle(sim::NetPeer* peer, std::string_view vin,
                                 const pirte::PirteMessage& message);
   /// Pushes an already-serialized envelope (cached campaign batches are
   /// pushed this way: one refcount bump, no serialization).
-  support::Status PushWireToVehicle(Shard& shard, sim::NetPeer* peer,
-                                    std::string_view vin,
+  support::Status PushWireToVehicle(sim::NetPeer* peer, std::string_view vin,
                                     const support::SharedBytes& wire);
 
   // Ack application (flush phase).
   void ApplyStagedAck(const StagedAck& staged);
-  void ApplyAck(Shard& shard, std::uint32_t vehicle, std::string_view plugin,
-                bool ok);
+  void ApplyAck(std::uint32_t vehicle, std::string_view plugin, bool ok);
   /// A failed kAckBatch: the vehicle rejected an entire campaign push;
   /// fails the named app's pending row (or re-arms an uninstalling row).
-  void ApplyBatchNack(Shard& shard, std::uint32_t vehicle,
-                      std::string_view app_name, std::string_view detail);
+  void ApplyBatchNack(std::uint32_t vehicle, std::string_view app_name,
+                      std::string_view detail);
 
   // Write-ahead status DB (no-ops when options_.status_sink is null).
   // Sink errors degrade durability, never availability: bounded retries,
   // then a sticky degraded flag and a warn — the in-memory transition
   // proceeds either way.
-  // Both encode into `shard`'s wal_buffer (StatusDb's view encoder).
-  void WriteStatus(Shard& shard, std::string_view vin,
-                   const FleetStore::InstallRow& row, Want want,
-                   DbState state);
+  // Both encode into wal_buffer_ (StatusDb's view encoder).
+  void WriteStatus(std::string_view vin, const FleetStore::InstallRow& row,
+                   Want want, DbState state);
   /// The tombstone: erases (vin, app) on replay.
-  void WriteStatusRemoved(Shard& shard, std::string_view vin,
-                          std::string_view app_name, std::string_view version,
-                          Want want);
-  /// Appends the record in `shard`'s wal_buffer (AppendDurable) and
-  /// traces it on the shard's lane.
-  void AppendShardRecord(Shard& shard, std::string_view vin);
+  void WriteStatusRemoved(std::string_view vin, std::string_view app_name,
+                          std::string_view version, Want want);
+  /// Appends the record in wal_buffer_ (AppendDurable) and traces it on
+  /// the per-vehicle lane.
+  void AppendStatusRecord(std::string_view vin);
   /// Appends one pre-encoded record with the bounded retry-then-degrade
   /// policy above.
   support::Status AppendDurable(std::span<const std::uint8_t> payload);
@@ -478,14 +430,17 @@ class TrustedServer {
   std::vector<std::string> model_names_;
   std::unordered_map<std::string, std::uint16_t> model_ids_;
 
-  /// Content-addressed batch cache, shared across shards.
+  /// Content-addressed batch cache.
   PackageCache cache_;
 
-  std::vector<Shard> shards_;
+  /// Packed columnar vehicle/row/connection state (fleet_store.hpp).
+  FleetStore store_;
+  ServerStats stats_;
+  /// Status-record scratch: every paragraph the server writes is encoded
+  /// here, so steady-state WAL appends allocate nothing.
+  support::Bytes wal_buffer_;
   /// Accepted connections that have not announced a VIN yet.
   std::vector<std::shared_ptr<sim::NetPeer>> pending_;
-  /// Handshake reaping happens before a VIN (and so a shard) is known.
-  std::uint64_t pending_reaped_ = 0;
   /// Acks staged since the last flush, in arrival order.
   std::vector<StagedAck> ack_inbox_;
   bool ack_flush_scheduled_ = false;
@@ -493,13 +448,6 @@ class TrustedServer {
 
   /// Append side of the durable install DB (set iff options_.status_sink).
   std::unique_ptr<StatusDb> status_db_;
-  /// Sticky durability-degraded flag + write-loss accounting (see
-  /// ServerStats).
-  bool durability_degraded_ = false;
-  std::uint64_t status_write_retries_ = 0;
-  std::uint64_t status_writes_lost_ = 0;
-  /// Completed checkpoint compactions.
-  std::uint64_t compactions_ = 0;
   /// Weak-referenced by accept/flush callbacks and in-flight SYNs: they
   /// go inert when the server is destroyed instead of dangling.
   std::shared_ptr<const bool> alive_ = std::make_shared<bool>(true);

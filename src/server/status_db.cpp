@@ -121,13 +121,15 @@ support::Result<StatusParagraph> StatusDb::DecodeParagraph(
   }
   paragraph.want = static_cast<Want>(want);
   paragraph.state = static_cast<DbState>(state);
-  DACM_ASSIGN_OR_RETURN(const std::uint32_t plugin_count, reader.ReadVarU32());
+  // A plug-in entry is at least a string length, an ECU id and an id count.
+  DACM_ASSIGN_OR_RETURN(const std::uint32_t plugin_count,
+                        reader.ReadCount(4 + 4 + 1));
   paragraph.plugins.reserve(plugin_count);
   for (std::uint32_t i = 0; i < plugin_count; ++i) {
     StatusParagraph::PluginIds ids;
     DACM_ASSIGN_OR_RETURN(ids.plugin, reader.ReadString());
     DACM_ASSIGN_OR_RETURN(ids.ecu_id, reader.ReadU32());
-    DACM_ASSIGN_OR_RETURN(const std::uint32_t id_count, reader.ReadVarU32());
+    DACM_ASSIGN_OR_RETURN(const std::uint32_t id_count, reader.ReadCount(1));
     ids.unique_ids.reserve(id_count);
     for (std::uint32_t j = 0; j < id_count; ++j) {
       DACM_ASSIGN_OR_RETURN(const std::uint8_t unique, reader.ReadU8());

@@ -137,7 +137,7 @@ class StatusDb {
   /// Replays a status log image: folds paragraphs last-writer-wins per
   /// (vin, app), drops kNotInstalled tombstones, and returns the
   /// survivors sorted by (vin, app) so recovery is deterministic
-  /// regardless of original append interleaving across shards.  A torn
+  /// regardless of the original append order.  A torn
   /// tail is truncated silently; a record that decodes but fails
   /// validation is kCorrupted.
   static support::Result<std::vector<StatusParagraph>> Replay(

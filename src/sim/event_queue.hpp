@@ -18,11 +18,10 @@
 //    its nodes are sorted by sequence (cascades from outer levels can
 //    interleave arrival order, never ordering keys);
 //  * events beyond the 2^36 us horizon wait in an overflow min-heap and
-//    fold into the wheel as the cursor approaches;
-//  * events scheduled *behind* the wheel cursor wait in a small backlog
-//    min-heap that always pops first.  The Simulator never produces one
-//    (it clamps to Now(), and the cursor never passes Now()), so this
-//    only keeps Push total for direct users of the queue.
+//    fold into the wheel as the cursor approaches.
+//
+// Nothing is ever scheduled behind the wheel cursor: the Simulator clamps
+// to Now(), and the cursor never passes Now().
 //
 // Event nodes (timestamp, sequence, intrusive link, inline callback) come
 // from a chunked free list owned by the queue; a steady-state simulation
@@ -31,6 +30,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -62,15 +62,14 @@ class EventQueue {
   EventQueue& operator=(const EventQueue&) = delete;
 
   /// Enqueues `fn` at `at`.  FIFO among equal timestamps is defined by
-  /// call order.  `at` may be anywhere (the caller clamps to Now()).
+  /// call order.  `at` must not lie behind the cursor (the caller clamps
+  /// to Now()).
   /// Inline: this plus PopDue is the whole hot path of Simulator::Run.
   void Push(SimTime at, Callback fn) {
     Node* node = Alloc(at, std::move(fn));
     ++size_;
     if (size_ == 1) {
-      // Only pending event: park it; no wheel bookkeeping.  Its timestamp
-      // is >= cursor_ except for backlog-style stragglers, which Place
-      // handles on demotion.
+      // Only pending event: park it; no wheel bookkeeping.
       solo_ = node;
       return;
     }
@@ -89,20 +88,9 @@ class EventQueue {
       Node* node = solo_;
       if (node->at > limit) return false;
       solo_ = nullptr;
-      // The lone event is the minimum; the cursor may follow it (never
-      // backward: a backlog-style straggler can sit behind the cursor).
-      if (node->at > cursor_) cursor_ = node->at;
+      // The lone event is the minimum; the cursor follows it.
+      cursor_ = node->at;
       return TakeNode(node, at, fn);
-    }
-    // Backlog events are strictly earlier than everything else (they were
-    // scheduled behind the cursor, and ready/wheel events sit at or
-    // beyond it), so they drain first.
-    if (!backlog_.empty()) {
-      Node* top = backlog_.front();
-      if (top->at > limit) return false;
-      std::pop_heap(backlog_.begin(), backlog_.end(), NodeLater{});
-      backlog_.pop_back();
-      return TakeNode(top, at, fn);
     }
     if (ready_head_ == nullptr && !AdvanceToNext(limit)) return false;
     Node* node = ready_head_;
@@ -189,16 +177,12 @@ class EventQueue {
   /// Grows the node pool by one block (the only allocation in the queue).
   void RefillPool();
 
-  /// Routes a node into backlog / ready / wheel / overflow by its
-  /// timestamp relative to the cursor.
+  /// Routes a node into ready / wheel / overflow by its timestamp
+  /// relative to the cursor.
   void Place(Node* node) {
     const SimTime at = node->at;
-    if (at < cursor_) {
-      // Scheduled behind the wheel cursor (see the file comment); the
-      // backlog heap pops first.
-      backlog_.push_back(node);
-      std::push_heap(backlog_.begin(), backlog_.end(), NodeLater{});
-    } else if (at == cursor_) {
+    assert(at >= cursor_ && "event scheduled behind the wheel cursor");
+    if (at == cursor_) {
       // Due now.  Sequences are monotone, so appending keeps the ready
       // list sorted.
       if (ready_tail_ == nullptr) {
@@ -256,7 +240,6 @@ class EventQueue {
   Node* ready_head_ = nullptr;  // due events (all at == cursor_), seq order
   Node* ready_tail_ = nullptr;
 
-  std::vector<Node*> backlog_;   // at < cursor_ (see the file comment)
   std::vector<Node*> overflow_;  // beyond the wheel horizon
   std::vector<Node*> scratch_due_;
 

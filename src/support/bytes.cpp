@@ -20,6 +20,16 @@ Result<std::uint32_t> ByteReader::ReadVarU32() {
   return v;
 }
 
+Result<std::uint32_t> ByteReader::ReadCount(std::size_t min_element_bytes) {
+  DACM_ASSIGN_OR_RETURN(std::uint32_t count, ReadVarU32());
+  if (static_cast<std::uint64_t>(count) * min_element_bytes > remaining()) {
+    return Corrupted("element count " + std::to_string(count) +
+                     " overruns the " + std::to_string(remaining()) +
+                     " bytes left");
+  }
+  return count;
+}
+
 Result<std::string> ByteReader::ReadString() {
   DACM_ASSIGN_OR_RETURN(std::string_view view, ReadStringView());
   return std::string(view);

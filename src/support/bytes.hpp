@@ -202,6 +202,11 @@ class ByteReader {
     return static_cast<std::int64_t>(v);
   }
   Result<std::uint32_t> ReadVarU32();
+  /// Reads a VarU32 element count and rejects it (kCorrupted) when
+  /// `count` elements of at least `min_element_bytes` each cannot fit in
+  /// the unconsumed bytes, so a decoder may reserve(count) on a count
+  /// read from untrusted input.
+  Result<std::uint32_t> ReadCount(std::size_t min_element_bytes);
   Result<std::string> ReadString();
   Result<Bytes> ReadBlob();
 

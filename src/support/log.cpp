@@ -7,9 +7,9 @@
 namespace dacm::support {
 namespace {
 
-// Deploy workers log too (the level lives in the header as an inline
-// atomic so Enabled() is one relaxed load); the sink call is serialized —
-// a capturing test sink must not see interleaved writes.
+// The level lives in the header as an inline atomic so Enabled() is one
+// relaxed load; the sink call is serialized — a capturing test sink must
+// not see interleaved writes.
 std::mutex g_sink_mutex;
 Log::Sink g_sink;
 

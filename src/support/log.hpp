@@ -16,13 +16,13 @@ enum class LogLevel { kTrace = 0, kDebug, kInfo, kWarn, kError, kOff };
 
 namespace log_detail {
 // Inline so Enabled() compiles down to a single relaxed load at every
-// DACM_LOG site — deploy workers hit disabled sites in their hot loops,
-// and an out-of-line accessor call there is pure overhead.
+// DACM_LOG site — the deploy and ack paths hit disabled sites in their
+// hot loops, and an out-of-line accessor call there is pure overhead.
 inline std::atomic<LogLevel> g_level{LogLevel::kOff};
 }  // namespace log_detail
 
-/// Global log configuration (process-wide).  Write() is thread-safe —
-/// deploy workers log too — and sink invocations are serialized.
+/// Global log configuration (process-wide).  Write() is thread-safe and
+/// sink invocations are serialized.
 class Log {
  public:
   using Sink = std::function<void(LogLevel, std::string_view component,

@@ -9,12 +9,11 @@
 // once at construction and hold them forever — instruments are never
 // destroyed or relocated while the process lives.
 //
-// Aggregates that already exist as per-shard plain fields (ServerStats)
-// are not duplicated on the hot path: the server folds them into registry
-// counters with Counter::Set at the ack-flush barrier, where the worker
-// pool's condition-variable handshake has already published every shard's
-// writes.  Hence Counter supports both styles: Inc (owned by the metric)
-// and Set (folded snapshot of an external aggregate).
+// Aggregates that already exist as plain fields (ServerStats) are not
+// duplicated on the hot path: the server folds them into registry
+// counters with Counter::Set after each ack flush and campaign.  Hence
+// Counter supports both styles: Inc (owned by the metric) and Set
+// (folded snapshot of an external aggregate).
 //
 // Histograms use 65 fixed log2 buckets — bucket 0 holds exactly the value
 // 0 and bucket i (i >= 1) holds [2^(i-1), 2^i - 1] — so any u64

@@ -65,8 +65,8 @@ void Tracer::Enable(std::size_t events_per_lane) {
   enabled_.store(false, std::memory_order_relaxed);
   FreeLanes();
   capacity_ = events_per_lane == 0 ? 1 : events_per_lane;
-  // The sim thread's lane always exists; shard lanes materialize on
-  // first use so an 8-shard bench does not pay for 64 rings.
+  // Lane 0 always exists; the fleet lane materializes on first use, so a
+  // trace without per-vehicle events pays for one ring.
   lanes_[0].store(new Lane(capacity_), std::memory_order_release);
   enabled_.store(true, std::memory_order_relaxed);
 }
@@ -184,7 +184,7 @@ void Tracer::ExportChromeJson(std::string& out) const {
 
   out += "{\"traceEvents\":[";
   bool first = true;
-  // Track names up front so Perfetto labels the sim lane and each shard;
+  // Track names up front so Perfetto labels the sim and fleet lanes;
   // deterministic because live_lanes is lane-ordered.
   for (std::uint32_t lane_index : live_lanes) {
     if (!first) out += ',';
@@ -192,12 +192,7 @@ void Tracer::ExportChromeJson(std::string& out) const {
     out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":";
     AppendU64(out, lane_index);
     out += ",\"args\":{\"name\":\"";
-    if (lane_index == 0) {
-      out += "sim";
-    } else {
-      out += "shard-";
-      AppendU64(out, lane_index - 1);
-    }
+    out += lane_index == 0 ? "sim" : "fleet";
     out += "\"}}";
   }
   for (const Ref& ref : refs) {

@@ -12,9 +12,10 @@
 // traces diffable regression artifacts.
 //
 // Lanes: one ring per *lane*.  Lane 0 carries the simulator and the
-// server-wide events; lane (shard + 1) carries one server shard's
-// per-vehicle events.  Threading: exactly one writer per lane at any
-// moment (the program writes every lane from the simulation thread).
+// server-wide events; lane 1 carries the server's per-vehicle events
+// (WAL appends, deploy round trips).  Threading: exactly one writer per
+// lane at any moment (the program writes every lane from the simulation
+// thread).
 // Writers never lock: recording is a bounds-checked slot store plus a
 // lane-local sequence bump.  When a ring wraps, the oldest events are
 // overwritten (newest are kept) and the loss is reported via dropped().
@@ -22,7 +23,7 @@
 // Export merges all lanes by (timestamp, lane, per-lane sequence) — a
 // total order that is stable across runs because every component is.
 // Events are rendered with pid 1 and tid = lane, so Perfetto shows the
-// sim lane and each shard as separate tracks.
+// sim lane and the fleet lane as separate tracks.
 //
 // Enabled state is one relaxed atomic bool checked at every record site:
 // spans can be globally disabled (the acceptance kill switch), and a
@@ -60,7 +61,9 @@ struct TraceEvent {
 
 class Tracer {
  public:
-  static constexpr std::size_t kMaxLanes = 64;
+  /// Lane 0 (`sim`) and lane 1 (`fleet`); a higher lane index records on
+  /// the last lane.
+  static constexpr std::size_t kMaxLanes = 2;
   static constexpr std::size_t kDefaultEventsPerLane = std::size_t{1} << 15;
 
   static Tracer& Instance();

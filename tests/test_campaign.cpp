@@ -6,7 +6,8 @@
 // byte-identical campaign fingerprints.
 //
 // Labelled `faults` in ctest; the TSan CI job runs this suite to keep the
-// sharded wave pushes and parallel ack-inbox flushes race-clean.
+// wave pushes and ack-inbox flushes race-clean against the process-wide
+// telemetry.
 #include <gtest/gtest.h>
 
 #include "fes/appgen.hpp"
@@ -43,9 +44,8 @@ struct ScriptedCampaign {
   server::UserId user = server::UserId::Invalid();
   std::unique_ptr<fes::ScriptedFleet> fleet;
 
-  explicit ScriptedCampaign(std::size_t vehicles, std::size_t shards = 4,
-                            std::size_t nack_every = 0)
-      : server(network, "srv:443", server::ServerOptions{shards}) {
+  explicit ScriptedCampaign(std::size_t vehicles, std::size_t nack_every = 0)
+      : server(network, "srv:443") {
     EXPECT_TRUE(server.Start().ok());
     EXPECT_TRUE(server.UploadVehicleModel(fes::MakeRpiTestbedConf()).ok());
     user = *server.CreateUser("ops");
@@ -99,7 +99,7 @@ TEST(CampaignEngineTest, RetryWaveConvergesAnOfflineCohort) {
 }
 
 TEST(CampaignEngineTest, AllNackCampaignAbortsAtTheConfiguredThreshold) {
-  ScriptedCampaign rig(/*vehicles=*/12, /*shards=*/4, /*nack_every=*/1);
+  ScriptedCampaign rig(/*vehicles=*/12, /*nack_every=*/1);
   rig.UploadApp("bad-app");
 
   auto policy = FastPolicy(/*max_waves=*/5);
@@ -126,7 +126,7 @@ TEST(CampaignEngineTest, AllNackCampaignAbortsAtTheConfiguredThreshold) {
 }
 
 TEST(CampaignEngineTest, MidCampaignLinkFlapLeavesNoRowStrandedPending) {
-  ScriptedCampaign rig(/*vehicles=*/16, /*shards=*/2);
+  ScriptedCampaign rig(/*vehicles=*/16);
   rig.UploadApp("maps");
 
   // The flap covers the acknowledgement send (install deliveries land at
@@ -154,7 +154,7 @@ TEST(CampaignEngineTest, MidCampaignLinkFlapLeavesNoRowStrandedPending) {
 }
 
 TEST(CampaignEngineTest, PermanentlyOfflineVehicleExhaustsTheWaveBudget) {
-  ScriptedCampaign rig(/*vehicles=*/2, /*shards=*/1);
+  ScriptedCampaign rig(/*vehicles=*/2);
   rig.UploadApp("maps");
   ASSERT_TRUE(rig.fleet->TakeOffline(1).ok());
 
@@ -176,7 +176,7 @@ TEST(CampaignEngineTest, PermanentlyOfflineVehicleExhaustsTheWaveBudget) {
 }
 
 TEST(CampaignEngineTest, NackCohortHealsAndTheCampaignConverges) {
-  ScriptedCampaign rig(/*vehicles=*/20, /*shards=*/4);
+  ScriptedCampaign rig(/*vehicles=*/20);
   rig.UploadApp("maps");
 
   // A third of the fleet nacks every push for up to 300 ms, then heals —
@@ -197,7 +197,7 @@ TEST(CampaignEngineTest, NackCohortHealsAndTheCampaignConverges) {
 }
 
 TEST(CampaignEngineTest, RollbackRetriesNackedUninstallsUntilTheCohortHeals) {
-  ScriptedCampaign rig(/*vehicles=*/4, /*shards=*/2);
+  ScriptedCampaign rig(/*vehicles=*/4);
   rig.UploadApp("maps");
   auto deploy = rig.engine.StartDeploy(rig.user, "maps", rig.fleet->vins(),
                                        FastPolicy());
@@ -224,7 +224,7 @@ TEST(CampaignEngineTest, RollbackRetriesNackedUninstallsUntilTheCohortHeals) {
 }
 
 TEST(CampaignEngineTest, FinishedCampaignsCanBeForgottenRunningOnesCannot) {
-  ScriptedCampaign rig(/*vehicles=*/4, /*shards=*/1);
+  ScriptedCampaign rig(/*vehicles=*/4);
   rig.UploadApp("maps");
   auto id = rig.engine.StartDeploy(rig.user, "maps", rig.fleet->vins(),
                                    FastPolicy());
@@ -262,7 +262,7 @@ std::shared_ptr<sim::NetPeer> HelloWithoutBinding(ScriptedCampaign& rig,
 }
 
 TEST(CampaignEngineTest, RollbackOverUnknownVinsFailsInsteadOfConverging) {
-  ScriptedCampaign rig(/*vehicles=*/2, /*shards=*/1);
+  ScriptedCampaign rig(/*vehicles=*/2);
   rig.UploadApp("maps");
   // VIN-GHOST was never seen; VIN-UNBOUND said Hello (the server has a
   // handle for it, which the engine caches) but was never bound.
@@ -327,7 +327,7 @@ TEST(CampaignEngineTest, EngineDestroyedWithSettleTimerPendingLeavesInertEvents)
   // alive-token guard must turn it into a no-op.
   sim::Simulator simulator;
   sim::Network network{simulator, sim::kMillisecond};
-  server::TrustedServer server(network, "srv:443", server::ServerOptions{1});
+  server::TrustedServer server(network, "srv:443");
   ASSERT_TRUE(server.Start().ok());
   ASSERT_TRUE(server.UploadVehicleModel(fes::MakeRpiTestbedConf()).ok());
   auto user = *server.CreateUser("ops");
@@ -366,7 +366,7 @@ TEST(CampaignEngineTest, DuplicateAckBatchAfterConvergenceLeavesRowsUntouched) {
   // dropped.  A duplicate kAckBatch arriving after that (redelivered by
   // a flaky vehicle, or replayed across a server restart) must neither
   // corrupt the row nor resurrect an empty push.
-  ScriptedCampaign rig(/*vehicles=*/4, /*shards=*/1);
+  ScriptedCampaign rig(/*vehicles=*/4);
   rig.UploadApp("maps");
   auto id = rig.engine.StartDeploy(rig.user, "maps", rig.fleet->vins(),
                                    FastPolicy());
@@ -421,7 +421,7 @@ TEST(CampaignEngineTest, DuplicateAckBatchAfterConvergenceLeavesRowsUntouched) {
 // same faulted fleet.
 
 std::string RunSeededFaultedCampaign(std::uint64_t seed) {
-  ScriptedCampaign rig(/*vehicles=*/1000, /*shards=*/4);
+  ScriptedCampaign rig(/*vehicles=*/1000);
   rig.UploadApp("base", /*plugins=*/1);
   rig.UploadApp("maps", /*plugins=*/2);
 
@@ -526,7 +526,7 @@ TEST(CampaignEngineTest, FingerprintHashesExactlyTheDescribeBytes) {
   // fleet-scale comparison stops proving what the string proves.  Use a
   // campaign with failed rows so the conditional error= column (the
   // subtle branch) is covered, plus a converged rollback.
-  ScriptedCampaign rig(/*vehicles=*/16, /*shards=*/2, /*nack_every=*/4);
+  ScriptedCampaign rig(/*vehicles=*/16, /*nack_every=*/4);
   rig.UploadApp("maps");
   auto deploy =
       rig.engine.StartDeploy(rig.user, "maps", rig.fleet->vins(), FastPolicy());
@@ -549,8 +549,7 @@ TEST(CampaignEngineTest, FingerprintHashesExactlyTheDescribeBytes) {
 TEST(CampaignEngineTest, RollbackBatchUnpacksOnRealEcmsAndRestoresState) {
   sim::Simulator simulator;
   sim::Network network(simulator, 10 * sim::kMillisecond);
-  server::TrustedServer server(network, "fleet-server:443",
-                               server::ServerOptions{2});
+  server::TrustedServer server(network, "fleet-server:443");
   ASSERT_TRUE(server.Start().ok());
   ASSERT_TRUE(server.UploadVehicleModel(fes::MakeRpiTestbedConf()).ok());
 
@@ -616,8 +615,8 @@ TEST(CampaignEngineTest, RollbackBatchUnpacksOnRealEcmsAndRestoresState) {
 
 // --- stats snapshot -----------------------------------------------------------
 
-TEST(CampaignEngineTest, StatsSnapshotAggregatesShardsAndCountsFaults) {
-  ScriptedCampaign rig(/*vehicles=*/16, /*shards=*/4, /*nack_every=*/4);
+TEST(CampaignEngineTest, StatsSnapshotCountsFaults) {
+  ScriptedCampaign rig(/*vehicles=*/16, /*nack_every=*/4);
   rig.UploadApp("maps", /*plugins=*/2);
 
   auto report = rig.server.DeployCampaign(rig.user, "maps", rig.fleet->vins());
@@ -629,16 +628,6 @@ TEST(CampaignEngineTest, StatsSnapshotAggregatesShardsAndCountsFaults) {
   EXPECT_EQ(total.acks_received, 32u);           // per-plug-in verdicts
   EXPECT_EQ(total.nacks_received, 8u);           // 4 nacking vehicles x 2
   EXPECT_EQ(total.deploys_ok, 16u);
-  // The aggregate is exactly the sum of the per-shard snapshots.
-  server::ServerStats sum;
-  for (std::size_t i = 0; i < rig.server.shard_count(); ++i) {
-    sum.acks_received += rig.server.shard_stats(i).acks_received;
-    sum.nacks_received += rig.server.shard_stats(i).nacks_received;
-    sum.packages_pushed += rig.server.shard_stats(i).packages_pushed;
-  }
-  EXPECT_EQ(sum.acks_received, total.acks_received);
-  EXPECT_EQ(sum.nacks_received, total.nacks_received);
-  EXPECT_EQ(sum.packages_pushed, total.packages_pushed);
 
   // Churning a vehicle off and back on reaps its dead predecessor at the
   // Hello adoption.

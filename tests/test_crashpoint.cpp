@@ -20,8 +20,8 @@
 // re-upload happens by construction — recovery replays the logs alone.
 //
 // Determinism notes (why the recorded op times are valid for the armed
-// run): the whole stack runs on the simulation thread at any shard
-// count, the fault scenario is seeded, and the armed run is
+// run): the whole stack runs on the simulation thread, the fault
+// scenario is seeded, and the armed run is
 // bit-identical to the recording until op N fails — so op N occurs at
 // exactly the recorded T_N, and a kill at T_N + 1 lands strictly between
 // the crash point and the next simulator event that could diverge.
@@ -93,14 +93,12 @@ struct CrashRig {
   std::unique_ptr<server::CampaignEngine> engine;
   server::UserId user = server::UserId::Invalid();
   std::unique_ptr<fes::ScriptedFleet> fleet;
-  std::size_t shard_count;
   std::uint64_t compact_bytes;
   std::uint64_t journal_compact_bytes;
 
-  CrashRig(std::size_t vehicles, std::size_t shards,
-           std::uint64_t compact_after_bytes, std::uint64_t journal_watermark)
-      : shard_count(shards),
-        compact_bytes(compact_after_bytes),
+  CrashRig(std::size_t vehicles, std::uint64_t compact_after_bytes,
+           std::uint64_t journal_watermark)
+      : compact_bytes(compact_after_bytes),
         journal_compact_bytes(journal_watermark) {
     clock.SetNowFn([this] { return simulator.Now(); });
     MakeServer(&status_crash);
@@ -123,7 +121,6 @@ struct CrashRig {
 
   void MakeServer(support::RecordSink* sink) {
     server::ServerOptions options;
-    options.shard_count = shard_count;
     options.status_sink = sink;
     options.compact_after_bytes = compact_bytes;
     server =
@@ -179,19 +176,19 @@ struct SweepOutcome {
   std::vector<std::uint64_t> op_times;   // recording pass only
 };
 
-/// One full campaign on a `shards`-shard server.  `crash_at` == 0 is the
+/// One full campaign.  `crash_at` == 0 is the
 /// recording pass; otherwise the world dies at durability op `crash_at`
 /// (leaking `tear_bytes` of the armed append) at recorded time
 /// `kill_time` + 1 and recovers from the logs.  If the crash predates
 /// the journal's kStart the campaign never existed durably — the
 /// operator re-issues it, the one legitimate client-side retry in the
 /// model.
-SweepOutcome RunSweepCampaign(std::size_t vehicles, std::size_t shards,
-                              bool churn, std::uint64_t compact_after_bytes,
+SweepOutcome RunSweepCampaign(std::size_t vehicles, bool churn,
+                              std::uint64_t compact_after_bytes,
                               std::uint64_t journal_watermark,
                               std::uint64_t crash_at, std::size_t tear_bytes,
                               std::uint64_t kill_time) {
-  CrashRig rig(vehicles, shards, compact_after_bytes, journal_watermark);
+  CrashRig rig(vehicles, compact_after_bytes, journal_watermark);
   SweepOutcome out;
   out.setup_ops = rig.clock.ops();
 
@@ -246,32 +243,29 @@ TEST(CrashPointSweepTest, EveryDurabilityOpRecoversByteIdentically) {
   constexpr std::uint64_t kCompactBytes = 2 * 1024;
   constexpr std::uint64_t kJournalBytes = 1024;
 
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-    SCOPED_TRACE(::testing::Message() << "shard_count=" << shards);
-    const SweepOutcome base = RunSweepCampaign(
-        vehicles, shards, /*churn=*/false, kCompactBytes, kJournalBytes,
-        /*crash_at=*/0, /*tear_bytes=*/0, /*kill_time=*/0);
-    ASSERT_TRUE(base.converged);
-    ASSERT_EQ(base.op_times.size(), base.total_ops);
-    ASSERT_GT(base.total_ops, base.setup_ops);
-    // The low watermarks must make checkpoint rotation one of the swept op
-    // kinds — a sweep that never crosses a Rotate proves nothing about it.
-    ASSERT_GE(base.compactions, 1u);
-    std::cout << "[sweep] shard_count=" << shards << ": "
-              << (base.total_ops - base.setup_ops) << " crash points (ops "
-              << base.setup_ops + 1 << ".." << base.total_ops << "), "
-              << base.compactions << " compaction(s) in the recording pass\n";
+  const SweepOutcome base = RunSweepCampaign(
+      vehicles, /*churn=*/false, kCompactBytes, kJournalBytes,
+      /*crash_at=*/0, /*tear_bytes=*/0, /*kill_time=*/0);
+  ASSERT_TRUE(base.converged);
+  ASSERT_EQ(base.op_times.size(), base.total_ops);
+  ASSERT_GT(base.total_ops, base.setup_ops);
+  // The low watermarks must make checkpoint rotation one of the swept op
+  // kinds — a sweep that never crosses a Rotate proves nothing about it.
+  ASSERT_GE(base.compactions, 1u);
+  std::cout << "[sweep] " << (base.total_ops - base.setup_ops)
+            << " crash points (ops " << base.setup_ops + 1 << ".."
+            << base.total_ops << "), " << base.compactions
+            << " compaction(s) in the recording pass\n";
 
-    for (std::uint64_t n = base.setup_ops + 1; n <= base.total_ops; ++n) {
-      const std::size_t tear = static_cast<std::size_t>((n * 7919) % 23);
-      const SweepOutcome crashed = RunSweepCampaign(
-          vehicles, shards, /*churn=*/false, kCompactBytes, kJournalBytes,
-          /*crash_at=*/n, tear, /*kill_time=*/base.op_times[n - 1]);
-      ASSERT_TRUE(crashed.converged) << "crash point " << n;
-      EXPECT_EQ(crashed.fleet_describe, base.fleet_describe)
-          << "crash point " << n << " (tear " << tear << ")";
-      EXPECT_EQ(crashed.fingerprint, base.fingerprint) << "crash point " << n;
-    }
+  for (std::uint64_t n = base.setup_ops + 1; n <= base.total_ops; ++n) {
+    const std::size_t tear = static_cast<std::size_t>((n * 7919) % 23);
+    const SweepOutcome crashed = RunSweepCampaign(
+        vehicles, /*churn=*/false, kCompactBytes, kJournalBytes,
+        /*crash_at=*/n, tear, /*kill_time=*/base.op_times[n - 1]);
+    ASSERT_TRUE(crashed.converged) << "crash point " << n;
+    EXPECT_EQ(crashed.fleet_describe, base.fleet_describe)
+        << "crash point " << n << " (tear " << tear << ")";
+    EXPECT_EQ(crashed.fingerprint, base.fingerprint) << "crash point " << n;
   }
 }
 
@@ -285,7 +279,7 @@ TEST(CrashPointSweepTest, StridedSweepAtFleetScaleUnderChurn) {
   constexpr std::uint64_t kJournalBytes = 32 * 1024;
 
   const SweepOutcome base = RunSweepCampaign(
-      kVehicles, /*shards=*/1, /*churn=*/true, kCompactBytes, kJournalBytes,
+      kVehicles, /*churn=*/true, kCompactBytes, kJournalBytes,
       /*crash_at=*/0, /*tear_bytes=*/0, /*kill_time=*/0);
   ASSERT_TRUE(base.converged);
   ASSERT_GT(base.total_ops, base.setup_ops);
@@ -297,7 +291,7 @@ TEST(CrashPointSweepTest, StridedSweepAtFleetScaleUnderChurn) {
        n += stride) {
     const std::size_t tear = static_cast<std::size_t>((n * 7919) % 23);
     const SweepOutcome crashed = RunSweepCampaign(
-        kVehicles, /*shards=*/1, /*churn=*/true, kCompactBytes, kJournalBytes,
+        kVehicles, /*churn=*/true, kCompactBytes, kJournalBytes,
         /*crash_at=*/n, tear, /*kill_time=*/base.op_times[n - 1]);
     ASSERT_TRUE(crashed.converged) << "crash point " << n;
     EXPECT_EQ(crashed.fleet_describe, base.fleet_describe)

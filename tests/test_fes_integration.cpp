@@ -266,14 +266,13 @@ TEST(FleetTest, TwoVehiclesShareOneServerIndependently) {
 }
 
 TEST(FleetTest, CampaignBatchReachesRealEcmsAndInstalls) {
-  // A sharded campaign against *real* vehicles: the kInstallBatch arrives
+  // A campaign against *real* vehicles: the kInstallBatch arrives
   // at each ECM, is unpacked into per-plug-in installs, routed, executed
   // and acknowledged plug-in by plug-in — the server's row must converge
   // to kInstalled exactly as with individual pushes.
   sim::Simulator simulator;
   sim::Network network(simulator, 10 * sim::kMillisecond);
-  server::TrustedServer server(network, "fleet-server:443",
-                               server::ServerOptions{2});
+  server::TrustedServer server(network, "fleet-server:443");
   ASSERT_TRUE(server.Start().ok());
   ASSERT_TRUE(server.UploadVehicleModel(MakeRpiTestbedConf()).ok());
 
@@ -324,14 +323,13 @@ TEST(FleetTest, CampaignBatchReachesRealEcmsAndInstalls) {
 }
 
 TEST(FleetTest, ShardedCampaignIsDeterministicAcrossRuns) {
-  // Two identical sharded campaigns must produce identical event traces:
+  // Two identical campaigns must produce identical event traces:
   // delivered-message counts, final states and the ack completion order
   // match a fresh run exactly.
-  auto run_once = [](std::size_t shards) {
+  auto run_once = [] {
     sim::Simulator simulator;
     sim::Network network(simulator, sim::kMillisecond);
-    server::TrustedServer server(network, "srv:443",
-                                 server::ServerOptions{shards});
+    server::TrustedServer server(network, "srv:443");
     EXPECT_TRUE(server.Start().ok());
     EXPECT_TRUE(server.UploadVehicleModel(MakeRpiTestbedConf()).ok());
     auto user = *server.CreateUser("u");
@@ -365,16 +363,9 @@ TEST(FleetTest, ShardedCampaignIsDeterministicAcrossRuns) {
                       server.stats().acks_received, server.stats().deploys_ok,
                       ack_order);
   };
-  const auto a = run_once(4);
-  const auto b = run_once(4);
+  const auto a = run_once();
+  const auto b = run_once();
   EXPECT_EQ(a, b);
-  // And the shard count must not change the observable protocol at all —
-  // including the completion order.
-  const auto c = run_once(1);
-  EXPECT_EQ(std::get<0>(a), std::get<0>(c));
-  EXPECT_EQ(std::get<2>(a), std::get<2>(c));
-  EXPECT_EQ(std::get<3>(a), std::get<3>(c));
-  EXPECT_EQ(std::get<4>(a), std::get<4>(c));
 }
 
 TEST(FleetTest, FederatedTelemetryFlowsVehicleToDevice) {

@@ -670,6 +670,44 @@ TEST(CampaignJournalTest, ForgetWithoutAStartBecomesAForgottenPlaceholder) {
   EXPECT_EQ((*recovered)[3].app_name, "maps");
 }
 
+// --- hostile element counts -------------------------------------------------------
+
+/// Replays `payload` as one CRC-framed record of a status log.
+support::Result<StatusImage> ReplayOneRecord(const support::ByteWriter& payload) {
+  MemorySink sink;
+  RecordWriter writer(sink);
+  EXPECT_TRUE(writer.Append(payload.bytes()).ok());
+  return StatusDb::ReplayImage(sink.bytes());
+}
+
+TEST(ReplayDecodeTest, HostileElementCountsAreCorruptedNotAllocated) {
+  // Each input is intact framing around a count no record of its size can
+  // hold.  Replay must answer kCorrupted instead of reserving (or
+  // materializing) billions of elements.
+  support::ByteWriter paragraph;  // 20 bytes
+  paragraph.WriteU8(1);  // paragraph version
+  paragraph.WriteString("");
+  paragraph.WriteString("");
+  paragraph.WriteString("");
+  paragraph.WriteU8(static_cast<std::uint8_t>(Want::kInstall));
+  paragraph.WriteU8(static_cast<std::uint8_t>(DbState::kInstalled));
+  paragraph.WriteVarU32(0xFFFFFFFFu);  // plug-in count
+  EXPECT_EQ(ReplayOneRecord(paragraph).status().code(), ErrorCode::kCorrupted);
+
+  support::ByteWriter image;
+  image.WriteU8(static_cast<std::uint8_t>(server::CatalogRecordKind::kImage));
+  image.WriteU8(1);  // image version
+  image.WriteVarU32(0xFFFFFFFFu);  // blob-pool count
+  EXPECT_EQ(ReplayOneRecord(image).status().code(), ErrorCode::kCorrupted);
+
+  // A tombstone with no start would materialize a placeholder per lower id.
+  MemorySink journal_log;
+  CampaignJournal journal(journal_log);
+  ASSERT_TRUE(journal.AppendForget(0x7fffffffu).ok());
+  EXPECT_EQ(server::ReplayCampaignJournal(journal_log.bytes()).status().code(),
+            ErrorCode::kCorrupted);
+}
+
 // --- whole-server kill-and-restart -------------------------------------------------
 
 /// Quick retry cadence (mirrors test_campaign.cpp): settle 50 ms,
@@ -698,16 +736,15 @@ struct RecoveryRig {
   std::unique_ptr<server::CampaignEngine> engine;
   server::UserId user = server::UserId::Invalid();
   std::unique_ptr<fes::ScriptedFleet> fleet;
-  std::size_t shards;
   std::uint64_t compact_after_bytes;
   /// Everything uploaded, for the re-upload flavor of recovery (the
   /// catalog is also persisted in the log now — RestartFromLogOnly below
   /// recovers without touching this).
   std::vector<fes::SyntheticAppParams> catalog;
 
-  explicit RecoveryRig(std::size_t vehicles, std::size_t shard_count = 4,
+  explicit RecoveryRig(std::size_t vehicles,
                        std::uint64_t compact_watermark = 0)
-      : shards(shard_count), compact_after_bytes(compact_watermark) {
+      : compact_after_bytes(compact_watermark) {
     NewServer();
     fes::ScriptedFleetOptions options;
     options.vehicle_count = vehicles;
@@ -721,7 +758,6 @@ struct RecoveryRig {
   /// recovery runs.
   void NewBareServer() {
     server::ServerOptions options;
-    options.shard_count = shards;
     options.status_sink = &status_log;
     options.compact_after_bytes = compact_after_bytes;
     server = std::make_unique<server::TrustedServer>(network, "srv:443", options);
@@ -805,7 +841,7 @@ struct RecoveryRig {
 };
 
 TEST(RecoveryTest, KilledBeforeAnyAckRematerializesPackagesAndConverges) {
-  RecoveryRig rig(/*vehicles=*/4, /*shards=*/2);
+  RecoveryRig rig(/*vehicles=*/4);
   rig.UploadApp("maps");
   sim::FaultScenario faults(rig.simulator, rig.network, /*seed=*/3);
 
@@ -840,7 +876,7 @@ TEST(RecoveryTest, KilledBeforeAnyAckRematerializesPackagesAndConverges) {
 }
 
 TEST(RecoveryTest, ForgottenCampaignStaysForgottenAndConvergedRowsStayDone) {
-  RecoveryRig rig(/*vehicles=*/2, /*shards=*/1);
+  RecoveryRig rig(/*vehicles=*/2);
   rig.UploadApp("maps");
   auto first = rig.engine->StartDeploy(rig.user, "maps", rig.fleet->vins(),
                                        FastPolicy());
@@ -887,7 +923,7 @@ struct CampaignOutcome {
 /// and wave 3 (T0 + 700 ms) — and are rebuilt from the durable images
 /// inside the same simulator event.
 CampaignOutcome RunChurnedFleetCampaign(bool kill_mid_campaign) {
-  RecoveryRig rig(/*vehicles=*/1000, /*shards=*/4);
+  RecoveryRig rig(/*vehicles=*/1000);
   rig.UploadApp("fleet-app");
   sim::FaultScenario faults(rig.simulator, rig.network, /*seed=*/1914);
   faults.AddOfflineChurn(*rig.fleet, /*fraction=*/0.20,
@@ -939,7 +975,7 @@ TEST(RecoveryTest, KilledMidCampaignServerResumesByteIdenticallyAtFleetScale) {
 // --- persistent catalog ------------------------------------------------------------
 
 TEST(RecoveryTest, RecoveredCatalogMakesServerServiceableWithoutReuploads) {
-  RecoveryRig rig(/*vehicles=*/6, /*shards=*/2);
+  RecoveryRig rig(/*vehicles=*/6);
   rig.UploadApp("maps");
   sim::FaultScenario faults(rig.simulator, rig.network, /*seed=*/7);
 
@@ -972,20 +1008,17 @@ TEST(RecoveryTest, RecoveredCatalogMakesServerServiceableWithoutReuploads) {
 }
 
 /// Recovers a fresh server from `image` and returns its fleet fingerprint
-/// text.  Deliberately sharded differently from the rig: the fingerprint
-/// must not depend on shard placement.
-std::string RecoverDescribeFleet(RecoveryRig& rig, std::uint32_t shard_count,
+/// text.
+std::string RecoverDescribeFleet(RecoveryRig& rig,
                                  std::span<const std::uint8_t> image) {
-  server::ServerOptions options;
-  options.shard_count = shard_count;
-  server::TrustedServer fresh(rig.network, "srv-recover:1", options);
+  server::TrustedServer fresh(rig.network, "srv-recover:1");
   const support::Status recovered = fresh.RecoverInstallDb(image);
   EXPECT_TRUE(recovered.ok()) << recovered.ToString();
   return fresh.DescribeFleet();
 }
 
 TEST(RecoveryTest, CompactedLogRecoversIdenticallyToTheRawLog) {
-  RecoveryRig rig(/*vehicles=*/6, /*shards=*/2);
+  RecoveryRig rig(/*vehicles=*/6);
   rig.UploadApp("maps");
   rig.UploadApp("nav", /*plugins=*/3);
   for (const char* app : {"maps", "nav"}) {
@@ -1008,14 +1041,14 @@ TEST(RecoveryTest, CompactedLogRecoversIdenticallyToTheRawLog) {
   EXPECT_LE(compacted.size(), 2 * replayed->live_bytes);
 
   const std::string live = rig.server->DescribeFleet();
-  EXPECT_EQ(RecoverDescribeFleet(rig, /*shard_count=*/3, raw), live);
-  EXPECT_EQ(RecoverDescribeFleet(rig, /*shard_count=*/1, compacted), live);
+  EXPECT_EQ(RecoverDescribeFleet(rig, raw), live);
+  EXPECT_EQ(RecoverDescribeFleet(rig, compacted), live);
 }
 
 TEST(RecoveryTest, WatermarkCompactionBoundsTheLogAcrossFiveCampaigns) {
   // Five back-to-back fleet campaigns with a small watermark: the status
   // log must stay bounded by the live state, not grow with history.
-  RecoveryRig rig(/*vehicles=*/50, /*shards=*/1,
+  RecoveryRig rig(/*vehicles=*/50,
                   /*compact_watermark=*/16 * 1024);
   rig.engine->SetJournalCompactionWatermark(8 * 1024);
   for (int i = 1; i <= 5; ++i) {
@@ -1050,7 +1083,7 @@ TEST(RecoveryTest, WatermarkCompactionBoundsTheLogAcrossFiveCampaigns) {
 }
 
 TEST(RecoveryTest, JournalCompactionDropsRetiredCampaigns) {
-  RecoveryRig rig(/*vehicles=*/4, /*shards=*/1);
+  RecoveryRig rig(/*vehicles=*/4);
   rig.UploadApp("maps");
   auto first = rig.engine->StartDeploy(rig.user, "maps", rig.fleet->vins(),
                                        FastPolicy());

@@ -430,12 +430,12 @@ TEST_F(ServerFixture, EmptyVinAckOnAReapedConnectionIsDropped) {
 
 // --- campaigns -------------------------------------------------------------------------------
 
-/// Fixture for fleet campaigns: a sharded server and a scripted fleet.
+/// Fixture for fleet campaigns: a server and a scripted fleet.
 struct CampaignFixture : ::testing::Test {
   static constexpr std::size_t kFleet = 24;
   sim::Simulator simulator;
   sim::Network network{simulator, sim::kMillisecond};
-  TrustedServer server{network, "srv:443", ServerOptions{4}};
+  TrustedServer server{network, "srv:443"};
   UserId alice = UserId::Invalid();
   std::unique_ptr<fes::ScriptedFleet> fleet;
 
@@ -477,14 +477,13 @@ std::size_t ProcessThreadCount() {
 }
 
 TEST(ServerThreadingTest, ShardedCampaignSpawnsNoThreads) {
-  // Shards are a data partition: a 4-shard server runs its whole
-  // campaign on the calling thread.
+  // The server runs its whole campaign on the calling thread.
   const std::size_t before = ProcessThreadCount();
   if (before == 0) GTEST_SKIP() << "no /proc/self/status";
   {
     sim::Simulator simulator;
     sim::Network network{simulator, sim::kMillisecond};
-    TrustedServer server{network, "srv:443", ServerOptions{4}};
+    TrustedServer server{network, "srv:443"};
     ASSERT_TRUE(server.Start().ok());
     ASSERT_TRUE(server.UploadVehicleModel(fes::MakeRpiTestbedConf()).ok());
     const UserId alice = *server.CreateUser("alice");

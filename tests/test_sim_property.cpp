@@ -12,7 +12,7 @@
 //    beyond the wheel horizon — and requires identical fired sequences
 //    and clocks after every operation;
 //
-//  * a determinism re-run deploys a sharded campaign twice and requires
+//  * a determinism re-run deploys a campaign twice and requires
 //    fingerprint-identical outcomes.
 #include <gtest/gtest.h>
 
@@ -281,13 +281,13 @@ TEST(EventQueueProperty, DifferentialFuzzAgainstPriorityQueueModel) {
 
 // --- determinism fingerprint on the new core ---------------------------------------
 
-/// One sharded campaign world; returns a fingerprint over everything the
-/// determinism contract covers: delivery counts, per-shard statistics and
+/// One campaign world; returns a fingerprint over everything the
+/// determinism contract covers: delivery counts, server statistics and
 /// per-vehicle terminal states.
-std::uint32_t ShardedCampaignFingerprint() {
+std::uint32_t CampaignFingerprint() {
   Simulator simulator;
   Network network(simulator, kMillisecond);
-  server::TrustedServer server(network, "srv:443", server::ServerOptions{4});
+  server::TrustedServer server(network, "srv:443");
   EXPECT_TRUE(server.Start().ok());
   EXPECT_TRUE(server.UploadVehicleModel(fes::MakeRpiTestbedConf()).ok());
   const server::UserId user = *server.CreateUser("prop");
@@ -315,14 +315,12 @@ std::uint32_t ShardedCampaignFingerprint() {
   fp.WriteU64(network.messages_delivered());
   fp.WriteU64(fleet.acks_sent());
   fp.WriteU64(fleet.nacks_sent());
-  for (std::size_t shard = 0; shard < server.shard_count(); ++shard) {
-    const server::ServerStats& stats = server.shard_stats(shard);
-    fp.WriteU64(stats.packages_pushed);
-    fp.WriteU64(stats.acks_received);
-    fp.WriteU64(stats.nacks_received);
-    fp.WriteU64(stats.deploys_ok);
-    fp.WriteU64(stats.deploys_rejected);
-  }
+  const server::ServerStats& stats = server.stats();
+  fp.WriteU64(stats.packages_pushed);
+  fp.WriteU64(stats.acks_received);
+  fp.WriteU64(stats.nacks_received);
+  fp.WriteU64(stats.deploys_ok);
+  fp.WriteU64(stats.deploys_rejected);
   for (const std::string& vin : fleet.vins()) {
     auto state = server.AppState(vin, "prop-app");
     fp.WriteU8(state.ok() ? static_cast<std::uint8_t>(*state) : 0xff);
@@ -331,8 +329,8 @@ std::uint32_t ShardedCampaignFingerprint() {
 }
 
 TEST(EventQueueProperty, ShardedCampaignFingerprintIsStableOnNewCore) {
-  const std::uint32_t first = ShardedCampaignFingerprint();
-  const std::uint32_t second = ShardedCampaignFingerprint();
+  const std::uint32_t first = CampaignFingerprint();
+  const std::uint32_t second = CampaignFingerprint();
   EXPECT_EQ(first, second);
   EXPECT_NE(first, 0u);  // a degenerate all-zero world would also "match"
 }

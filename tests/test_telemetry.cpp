@@ -145,9 +145,9 @@ TEST(TracerTest, ExportIsStableAndCarriesArgs) {
   EXPECT_NE(a.find("\"events\":7"), std::string::npos);
   EXPECT_NE(a.find("\"ph\":\"i\",\"ts\":120,\"s\":\"t\""), std::string::npos);
   EXPECT_NE(a.find("\"vin\":\"VIN-1\""), std::string::npos);
-  // Lane metadata names the sim lane and the first shard.
+  // Lane metadata names the sim lane and the fleet lane.
   EXPECT_NE(a.find("\"args\":{\"name\":\"sim\"}"), std::string::npos);
-  EXPECT_NE(a.find("\"args\":{\"name\":\"shard-0\"}"), std::string::npos);
+  EXPECT_NE(a.find("\"args\":{\"name\":\"fleet\"}"), std::string::npos);
 }
 
 TEST(TracerTest, RingWrapKeepsNewestEventsAndCountsDrops) {
@@ -176,7 +176,7 @@ TEST(TracerTest, DisabledTracerEmitsNothing) {
 
 // --- integration ------------------------------------------------------------------
 
-/// A campaign world mirroring the bench fixture: sharded server, scripted
+/// A campaign world mirroring the bench fixture: server, scripted
 /// fleet, retrying engine.  1 µs links keep the 1k-vehicle runs cheap.
 struct TelemetryRig {
   sim::Simulator simulator;
@@ -186,10 +186,9 @@ struct TelemetryRig {
   server::UserId user = server::UserId::Invalid();
   std::unique_ptr<fes::ScriptedFleet> fleet;
 
-  explicit TelemetryRig(std::size_t vehicles, std::size_t shards = 4,
+  explicit TelemetryRig(std::size_t vehicles,
                         support::RecordSink* status_sink = nullptr)
-      : server(network, "srv:443",
-               server::ServerOptions{shards, status_sink}) {
+      : server(network, "srv:443", server::ServerOptions{status_sink}) {
     EXPECT_TRUE(server.Start().ok());
     EXPECT_TRUE(server.UploadVehicleModel(fes::MakeRpiTestbedConf()).ok());
     user = *server.CreateUser("ops");
@@ -231,7 +230,7 @@ FaultedCampaignResult SeededFaultedCampaignTrace() {
   tracer.Enable(/*events_per_lane=*/1u << 15);
   FaultedCampaignResult result;
   {
-    TelemetryRig rig(/*vehicles=*/1000, /*shards=*/4);
+    TelemetryRig rig(/*vehicles=*/1000);
     rig.UploadApp("maps");
     rig.fleet->MarkCampaignEpoch();
     sim::FaultScenario faults(rig.simulator, rig.network, /*seed=*/0x7E1E);
@@ -259,7 +258,7 @@ TEST(TelemetryIntegrationTest, SeededFaultedCampaignTracesAreByteIdentical) {
   const FaultedCampaignResult second = SeededFaultedCampaignTrace();
   ASSERT_FALSE(first.trace.empty());
   // The flight recorder covers every layer: the campaign track, the wave
-  // instants, per-vehicle round trips on the shard lanes, ack flushes and
+  // instants, per-vehicle round trips on the fleet lane, ack flushes and
   // the sim run span.
   EXPECT_NE(first.trace.find("\"name\":\"campaign.run\""), std::string::npos);
   EXPECT_NE(first.trace.find("\"name\":\"campaign.wave\""), std::string::npos);
@@ -281,7 +280,7 @@ TEST(TelemetryIntegrationTest, SeededFaultedCampaignTracesAreByteIdentical) {
 TEST(TelemetryIntegrationTest, RecoveryTraceHasExactlyOneReplaySpan) {
   support::MemorySink status_log;
   {
-    TelemetryRig rig(/*vehicles=*/64, /*shards=*/4, &status_log);
+    TelemetryRig rig(/*vehicles=*/64, &status_log);
     rig.UploadApp("maps");
     auto report = rig.server.DeployCampaign(rig.user, "maps",
                                             rig.fleet->vins());
@@ -295,9 +294,7 @@ TEST(TelemetryIntegrationTest, RecoveryTraceHasExactlyOneReplaySpan) {
   tracer.Enable(/*events_per_lane=*/1u << 12);
   sim::Simulator simulator;
   sim::Network network{simulator, sim::kMicrosecond};
-  server::ServerOptions options;
-  options.shard_count = 4;
-  server::TrustedServer fresh(network, "srv-recovered:1", options);
+  server::TrustedServer fresh(network, "srv-recovered:1");
   ASSERT_TRUE(fresh.RecoverInstallDb(status_log.bytes()).ok());
   const std::string json = tracer.ChromeJson();
   tracer.Disable();
@@ -319,8 +316,8 @@ TEST(TelemetryIntegrationTest, ServerCountersFoldIntoRegistry) {
   ASSERT_TRUE(report.ok());
   rig.simulator.Run();
 
-  // The ack-flush barrier folded the per-shard aggregates into the
-  // registry: the exported counters agree with the accessor snapshot.
+  // The ack flush folded the server's counters into the registry: the
+  // exported counters agree with the accessor snapshot.
   const auto stats = rig.server.stats();
   EXPECT_EQ(registry.GetCounter("dacm_server_deploys_ok_total").Value(),
             stats.deploys_ok);

@@ -25,14 +25,15 @@ import sys
 # fifth element compares the current benchmark against a *different*
 # benchmark in the baseline file — used to hold a new variant (e.g. the
 # durable campaign) to the committed numbers of the path it wraps, and to
-# map a renamed benchmark onto its committed name (BM_FleetCampaign lost
-# its `lanes` argument; the baseline still names its rows `.../lanes:1/...`).
+# map a renamed benchmark onto its committed name (the fleet benchmarks
+# lost their `shards` argument and BM_FleetCampaign its `lanes` argument;
+# the baseline still names its rows `shards:1/...` and `.../lanes:1/...`).
 KEY_METRICS = [
-    ("bench_fleet", "BM_FleetCampaign/shards:1/fleet:1000/real_time",
-     "items_per_second", "campaign deploys/s (1 shard, 1k fleet)",
+    ("bench_fleet", "BM_FleetCampaign/fleet:1000/real_time",
+     "items_per_second", "campaign deploys/s (1k fleet)",
      "BM_FleetCampaign/shards:1/fleet:1000/lanes:1/real_time"),
-    ("bench_fleet", "BM_FleetCampaign/shards:1/fleet:1000/real_time",
-     "serial_sim_fraction", "serial sim fraction (1 shard, 1k fleet)",
+    ("bench_fleet", "BM_FleetCampaign/fleet:1000/real_time",
+     "serial_sim_fraction", "serial sim fraction (1k fleet)",
      "BM_FleetCampaign/shards:1/fleet:1000/lanes:1/real_time"),
     # Journal overhead: the durable campaign (write-ahead status DB +
     # campaign journal) tracked against its own committed numbers.  It
@@ -41,19 +42,22 @@ KEY_METRICS = [
     # than the WAL append itself, so "within 5% of memory-only" stopped
     # being a meaningful bar — what must not regress is the durable
     # path's absolute throughput.
-    ("bench_fleet", "BM_FleetDurableCampaign/shards:1/fleet:1000/real_time",
-     "items_per_second", "durable campaign deploys/s (1 shard, 1k)"),
+    ("bench_fleet", "BM_FleetDurableCampaign/fleet:1000/real_time",
+     "items_per_second", "durable campaign deploys/s (1k)",
+     "BM_FleetDurableCampaign/shards:1/fleet:1000/real_time"),
     # Memory scaling of the SoA fleet store + content-addressed package
     # cache: the converged resident-set cost per VIN at the bench-smoke
     # shape (100k vehicles, 24 model cohorts).  Lower is better.
     ("bench_fleet",
+     "BM_FleetMegaCampaign/fleet:100000/models:24/iterations:1/real_time",
+     "bytes_per_vehicle", "fleet memory bytes/vehicle (100k, 24 models)",
      "BM_FleetMegaCampaign/shards:1/fleet:100000/models:24/"
-     "iterations:1/real_time",
-     "bytes_per_vehicle", "fleet memory bytes/vehicle (100k, 24 models)"),
+     "iterations:1/real_time"),
     ("bench_fleet",
+     "BM_FleetMegaCampaign/fleet:100000/models:24/iterations:1/real_time",
+     "deploys_per_s", "mega campaign deploys/s (100k, 24 models)",
      "BM_FleetMegaCampaign/shards:1/fleet:100000/models:24/"
-     "iterations:1/real_time",
-     "deploys_per_s", "mega campaign deploys/s (100k, 24 models)"),
+     "iterations:1/real_time"),
     # Restart cost: replay throughput over the raw multi-campaign log,
     # and the absolute time a checkpointed restart takes to become
     # serviceable (lower is better).
@@ -66,22 +70,25 @@ KEY_METRICS = [
     # shape, the wall-time ack-flush and WAL-fsync p99, and the faulted
     # convergence tail.  The sim-time ones are deterministic, so any drift
     # is a real pipeline change, not runner noise.
-    ("bench_fleet", "BM_FleetCampaign/shards:1/fleet:1000/real_time",
-     "vehicle_p99_us", "per-vehicle deploy p99 µs (1 shard, 1k)",
+    ("bench_fleet", "BM_FleetCampaign/fleet:1000/real_time",
+     "vehicle_p99_us", "per-vehicle deploy p99 µs (1k)",
      "BM_FleetCampaign/shards:1/fleet:1000/lanes:1/real_time"),
-    ("bench_fleet", "BM_FleetCampaign/shards:1/fleet:1000/real_time",
-     "roundtrip_p99_ms", "push->ack round-trip p99 sim-ms (1 shard, 1k)",
+    ("bench_fleet", "BM_FleetCampaign/fleet:1000/real_time",
+     "roundtrip_p99_ms", "push->ack round-trip p99 sim-ms (1k)",
      "BM_FleetCampaign/shards:1/fleet:1000/lanes:1/real_time"),
-    ("bench_fleet", "BM_FleetCampaign/shards:4/fleet:1000/real_time",
-     "ack_flush_p99_us", "ack-flush p99 µs (4 shards, 1k)",
-     "BM_FleetCampaign/shards:4/fleet:1000/lanes:1/real_time"),
-    ("bench_fleet", "BM_FleetDurableCampaign/shards:1/fleet:1000/real_time",
-     "wal_fsync_p99_us", "WAL fsync p99 µs (1 shard, 1k, sync=64)"),
+    ("bench_fleet", "BM_FleetCampaign/fleet:1000/real_time",
+     "ack_flush_p99_us", "ack-flush p99 µs (1k)",
+     "BM_FleetCampaign/shards:1/fleet:1000/lanes:1/real_time"),
+    ("bench_fleet", "BM_FleetDurableCampaign/fleet:1000/real_time",
+     "wal_fsync_p99_us", "WAL fsync p99 µs (1k, sync=64)",
+     "BM_FleetDurableCampaign/shards:1/fleet:1000/real_time"),
     ("bench_fleet",
-     "BM_FleetFaultCampaign/shards:4/fleet:1000/churn_pct:20/flaps:2/"
-     "nack_pct:10/real_time",
+     "BM_FleetFaultCampaign/fleet:1000/churn_pct:20/flaps:2/nack_pct:10/"
+     "real_time",
      "time_to_installed_p99_ms",
-     "faulted time-to-installed p99 sim-ms (full matrix)"),
+     "faulted time-to-installed p99 sim-ms (full matrix)",
+     "BM_FleetFaultCampaign/shards:1/fleet:1000/churn_pct:20/flaps:2/"
+     "nack_pct:10/real_time"),
     # The WAL stage alone: status paragraphs encoded + appended per second
     # for the campaign row shape (4 plug-ins x 8 ports).
     ("bench_fleet", "BM_StatusAppend",
