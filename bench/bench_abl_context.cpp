@@ -22,6 +22,7 @@
 
 #include "bench_common.hpp"
 #include "server/context_gen.hpp"
+#include "server/package_cache.hpp"
 
 namespace dacm::bench {
 namespace {
@@ -132,6 +133,45 @@ void BM_ServerSideIdChurn(benchmark::State& state) {
   state.counters["installs"] = static_cast<double>(installs);
 }
 BENCHMARK(BM_ServerSideIdChurn)->Arg(1)->Arg(8)->Arg(32);
+
+// Package assembly: what PackageCache::Acquire costs on its two
+// generating paths, for the fleet benchmark's 4-plug-in x 8-port app with
+// 12 KiB binaries on a vehicle that already holds six ids on ECU 1.
+//   new_variant  first sight of a (key, layout): context generation, the
+//                batch wire, the manifest and its uninstall wire;
+//   regenerate   an expired payload revived against the pinned manifest:
+//                context generation and the batch wire only.
+enum class AssemblyShape { kNewVariant, kRegenerate };
+
+void BM_BatchAssembly(benchmark::State& state, AssemblyShape shape) {
+  fes::SyntheticAppParams params;
+  params.name = "campaign";
+  params.vehicle_model = "rpi-testbed";
+  params.plugin_count = 4;
+  params.ports_per_plugin = 8;
+  params.binary_padding = 12288;
+  const server::App app = fes::MakeSyntheticApp(params);
+  const auto model = fes::MakeRpiTestbedConf();
+  const server::IdLayout layout = {{1, server::PortIdSet{0, 1, 2, 3, 4, 5}}};
+  server::PackageCache shared;
+  std::size_t wire_bytes = 0;
+  for (auto _ : state) {
+    server::PackageCache fresh;
+    server::PackageCache& cache =
+        shape == AssemblyShape::kNewVariant ? fresh : shared;
+    // The batch dies at the end of the iteration, so `shared` regenerates.
+    auto batch = cache.Acquire("rpi-testbed", app, app.confs[0], model.sw, layout);
+    if (!batch.ok()) {
+      state.SkipWithError(batch.status().ToString().c_str());
+      break;
+    }
+    wire_bytes = batch->payload->install_wire.size();
+    benchmark::DoNotOptimize(batch);
+  }
+  state.counters["wire_bytes"] = static_cast<double>(wire_bytes);
+}
+BENCHMARK_CAPTURE(BM_BatchAssembly, new_variant, AssemblyShape::kNewVariant);
+BENCHMARK_CAPTURE(BM_BatchAssembly, regenerate, AssemblyShape::kRegenerate);
 
 }  // namespace
 }  // namespace dacm::bench

@@ -150,7 +150,7 @@ void ScriptedFleet::OnMessage(std::size_t index,
     }
   };
   auto send_reply = [&](const pirte::PirteMessage& reply) {
-    send_wire(pirte::SerializeEnveloped(vins_[index], reply));
+    send_wire(pirte::SerializeEnveloped(vins_[index], reply.View()));
   };
 
   switch (view->type) {

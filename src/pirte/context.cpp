@@ -2,10 +2,14 @@
 
 namespace dacm::pirte {
 
+std::size_t PortInitContext::WireSize() const {
+  std::size_t size = support::VarU32Size(static_cast<std::uint32_t>(entries.size()));
+  for (const PicEntry& entry : entries) size += 7 + entry.port_name.size();
+  return size;
+}
+
 void PortInitContext::SerializeTo(support::ByteWriter& writer) const {
-  std::size_t need = 5;
-  for (const PicEntry& entry : entries) need += 7 + entry.port_name.size();
-  writer.Reserve(need);
+  writer.Reserve(WireSize());
   writer.WriteVarU32(static_cast<std::uint32_t>(entries.size()));
   for (const PicEntry& entry : entries) {
     writer.WriteU8(entry.local_index);
@@ -34,10 +38,14 @@ support::Result<PortInitContext> PortInitContext::DeserializeFrom(
   return pic;
 }
 
+std::size_t PortLinkingContext::WireSize() const {
+  std::size_t size = support::VarU32Size(static_cast<std::uint32_t>(entries.size()));
+  for (const PlcEntry& entry : entries) size += 9 + entry.peer_plugin.size();
+  return size;
+}
+
 void PortLinkingContext::SerializeTo(support::ByteWriter& writer) const {
-  std::size_t need = 5;
-  for (const PlcEntry& entry : entries) need += 9 + entry.peer_plugin.size();
-  writer.Reserve(need);
+  writer.Reserve(WireSize());
   writer.WriteVarU32(static_cast<std::uint32_t>(entries.size()));
   for (const PlcEntry& entry : entries) {
     writer.WriteU8(entry.local_port);
@@ -70,12 +78,16 @@ support::Result<PortLinkingContext> PortLinkingContext::DeserializeFrom(
   return plc;
 }
 
-void ExternalConnectionContext::SerializeTo(support::ByteWriter& writer) const {
-  std::size_t need = 5;
+std::size_t ExternalConnectionContext::WireSize() const {
+  std::size_t size = support::VarU32Size(static_cast<std::uint32_t>(entries.size()));
   for (const EccEntry& entry : entries) {
-    need += 14 + entry.endpoint.size() + entry.message_id.size();
+    size += 14 + entry.endpoint.size() + entry.message_id.size();
   }
-  writer.Reserve(need);
+  return size;
+}
+
+void ExternalConnectionContext::SerializeTo(support::ByteWriter& writer) const {
+  writer.Reserve(WireSize());
   writer.WriteVarU32(static_cast<std::uint32_t>(entries.size()));
   for (const EccEntry& entry : entries) {
     writer.WriteU8(static_cast<std::uint8_t>(entry.direction));

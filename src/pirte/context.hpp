@@ -42,6 +42,8 @@ struct PicEntry {
 struct PortInitContext {
   std::vector<PicEntry> entries;
 
+  /// Exact serialized size (what SerializeTo appends).
+  std::size_t WireSize() const;
   void SerializeTo(support::ByteWriter& writer) const;
   static support::Result<PortInitContext> DeserializeFrom(support::ByteReader& reader);
 };
@@ -66,6 +68,8 @@ struct PlcEntry {
 struct PortLinkingContext {
   std::vector<PlcEntry> entries;
 
+  /// Exact serialized size (what SerializeTo appends).
+  std::size_t WireSize() const;
   void SerializeTo(support::ByteWriter& writer) const;
   static support::Result<PortLinkingContext> DeserializeFrom(support::ByteReader& reader);
 };
@@ -89,6 +93,8 @@ struct ExternalConnectionContext {
 
   bool empty() const { return entries.empty(); }
 
+  /// Exact serialized size (what SerializeTo appends).
+  std::size_t WireSize() const;
   void SerializeTo(support::ByteWriter& writer) const;
   static support::Result<ExternalConnectionContext> DeserializeFrom(
       support::ByteReader& reader);

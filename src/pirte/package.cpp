@@ -6,24 +6,30 @@
 
 namespace dacm::pirte {
 
-support::Bytes InstallationPackage::Serialize() const {
-  support::ByteWriter body;
-  // The binary dominates; reserving for it plus the scalar fields leaves
-  // only the context tables to (rarely) grow the buffer.
-  body.Reserve(32 + plugin_name.size() + version.size() + binary.size());
-  body.WriteString(plugin_name);
-  body.WriteString(version);
-  pic.SerializeTo(body);
-  plc.SerializeTo(body);
-  ecc.SerializeTo(body);
-  body.WriteBlob(binary);
+std::size_t InstallationPackage::WireSize() const {
+  return 4 + (4 + plugin_name.size()) + (4 + version.size()) + pic.WireSize() +
+         plc.WireSize() + ecc.WireSize() + (4 + binary.size());
+}
 
-  support::ByteWriter out;
-  const support::Bytes body_bytes = body.Take();
-  out.Reserve(4 + body_bytes.size());
-  out.WriteU32(support::Crc32(body_bytes));
-  out.WriteRaw(body_bytes);
-  return out.Take();
+void InstallationPackage::SerializeTo(support::ByteWriter& writer) const {
+  const std::size_t crc_at = writer.size();
+  writer.WriteU32(0);  // patched below, once the body is in place
+  writer.WriteString(plugin_name);
+  writer.WriteString(version);
+  pic.SerializeTo(writer);
+  plc.SerializeTo(writer);
+  ecc.SerializeTo(writer);
+  writer.WriteBlob(binary);
+  const std::span<const std::uint8_t> body =
+      std::span<const std::uint8_t>(writer.bytes()).subspan(crc_at + 4);
+  writer.PatchU32(crc_at, support::Crc32(body));
+}
+
+support::Bytes InstallationPackage::Serialize() const {
+  support::ByteWriter writer;
+  writer.Reserve(WireSize());
+  SerializeTo(writer);
+  return writer.Take();
 }
 
 support::Result<InstallationPackage> InstallationPackage::Deserialize(
@@ -111,41 +117,16 @@ support::Result<PirteMessageView> PirteMessageView::Parse(
   return view;
 }
 
-support::Bytes SerializeInstallBatch(std::span<const InstallBatchEntry> entries) {
-  // Each entry is framed exactly like PirteMessage::Serialize would frame a
-  // kInstallPackage, but written straight into the batch buffer through the
-  // shared layout definition — no intermediate message objects, one sized
-  // allocation, one pass over the package bytes.
-  support::ByteWriter writer;
-  std::size_t total = 8;
-  for (const InstallBatchEntry& entry : entries) {
-    total += 4 + PirteMessage::WireSizeOf(entry.plugin_name, {},
-                                          entry.package_bytes);
-  }
-  writer.Reserve(total);
-  writer.WriteVarU32(static_cast<std::uint32_t>(entries.size()));
-  for (const InstallBatchEntry& entry : entries) {
-    const std::size_t inner =
-        PirteMessage::WireSizeOf(entry.plugin_name, {}, entry.package_bytes);
-    writer.WriteU32(static_cast<std::uint32_t>(inner));  // blob framing
-    PirteMessage::SerializeFieldsTo(writer, MessageType::kInstallPackage,
-                                    entry.plugin_name, entry.target_ecu,
-                                    /*dest_port=*/0, /*ok=*/true,
-                                    /*detail=*/{}, entry.package_bytes);
-  }
-  return writer.Take();
-}
-
 support::Bytes SerializeUninstallBatch(std::span<const UninstallBatchEntry> entries) {
   support::ByteWriter writer;
   std::size_t total = 8;
   for (const UninstallBatchEntry& entry : entries) {
-    total += 4 + PirteMessage::WireSizeOf(entry.plugin_name, {}, {});
+    total += 4 + PirteMessage::WireSizeOf(entry.plugin_name, {}, 0);
   }
   writer.Reserve(total);
   writer.WriteVarU32(static_cast<std::uint32_t>(entries.size()));
   for (const UninstallBatchEntry& entry : entries) {
-    const std::size_t inner = PirteMessage::WireSizeOf(entry.plugin_name, {}, {});
+    const std::size_t inner = PirteMessage::WireSizeOf(entry.plugin_name, {}, 0);
     writer.WriteU32(static_cast<std::uint32_t>(inner));  // blob framing
     PirteMessage::SerializeFieldsTo(writer, MessageType::kUninstall,
                                     entry.plugin_name, entry.target_ecu,
@@ -172,9 +153,8 @@ support::Bytes SerializeAckBatch(std::span<const BatchAckEntry> entries) {
 }
 
 std::size_t AckBatchWireSize(std::span<const BatchAckEntryView> entries) {
-  std::size_t varint = 1;
-  for (auto count = entries.size() >> 7; count != 0; count >>= 7) ++varint;
-  std::size_t total = varint;
+  std::size_t total =
+      support::VarU32Size(static_cast<std::uint32_t>(entries.size()));
   for (const BatchAckEntryView& entry : entries) {
     total += 9 + entry.plugin.size() + entry.detail.size();
   }

@@ -42,10 +42,17 @@ struct InstallationPackage {
   ExternalConnectionContext ecc;  // empty unless externally communicating
   support::Bytes binary;          // serialized vm::Program
 
+  /// Exact serialized size: the u32 CRC plus the body.
+  std::size_t WireSize() const;
+  /// Appends the CRC and the body in one pass: a placeholder CRC goes out
+  /// first and is patched over the body once the body is written.
+  void SerializeTo(support::ByteWriter& writer) const;
   support::Bytes Serialize() const;
   static support::Result<InstallationPackage> Deserialize(
       std::span<const std::uint8_t> data);
 };
+
+struct PirteMessageView;
 
 /// One message on a Type I port.
 struct PirteMessage {
@@ -66,11 +73,11 @@ struct PirteMessage {
   static constexpr std::size_t kFixedWireSize = 19;  // scalars + 3 length prefixes
   static std::size_t WireSizeOf(std::string_view plugin_name,
                                 std::string_view detail,
-                                std::span<const std::uint8_t> payload) {
-    return kFixedWireSize + plugin_name.size() + detail.size() + payload.size();
+                                std::size_t payload_size) {
+    return kFixedWireSize + plugin_name.size() + detail.size() + payload_size;
   }
   std::size_t WireSize() const {
-    return WireSizeOf(plugin_name, detail, payload);
+    return WireSizeOf(plugin_name, detail, payload.size());
   }
   /// Appends the serialized fields to `writer` (no framing around them).
   static void SerializeFieldsTo(support::ByteWriter& writer, MessageType type,
@@ -91,6 +98,8 @@ struct PirteMessage {
     SerializeFieldsTo(writer, type, plugin_name, target_ecu, dest_port, ok,
                       detail, payload);
   }
+  /// A view aliasing this message's fields (see PirteMessageView).
+  PirteMessageView View() const;
 };
 
 /// Zero-copy view of a serialized PirteMessage (the EnvelopeView idiom):
@@ -109,26 +118,18 @@ struct PirteMessageView {
   static support::Result<PirteMessageView> Parse(std::span<const std::uint8_t> data);
 };
 
+inline PirteMessageView PirteMessage::View() const {
+  return {type, plugin_name, target_ecu, dest_port, ok, detail, payload};
+}
+
 // --- campaign batches --------------------------------------------------------
 //
 // A fleet campaign pushes ONE kInstallBatch message per vehicle instead of
 // one round-trip per plug-in; its payload is a varint count followed by
 // the serialized per-plug-in kInstallPackage messages.  The vehicle
 // answers with a single kAckBatch whose payload carries one verdict per
-// plug-in.
-
-/// One per-plug-in install inside a batch.  The views alias the caller's
-/// buffers (typically the InstalledAPP table's recorded package bytes), so
-/// batch assembly costs exactly one pass over the payload bytes.
-struct InstallBatchEntry {
-  std::string_view plugin_name;
-  std::uint32_t target_ecu = 0;
-  std::span<const std::uint8_t> package_bytes;
-};
-
-/// Builds the payload of a kInstallBatch message: each entry is framed as
-/// a serialized kInstallPackage PirteMessage, written in place.
-support::Bytes SerializeInstallBatch(std::span<const InstallBatchEntry> entries);
+// plug-in.  The batch itself is framed by SerializeEnvelopedInstallBatch
+// (pirte/protocol.hpp), envelope included, in one pass.
 
 /// One per-plug-in uninstall inside a kUninstallBatch payload.  No package
 /// bytes: the plug-in name plus its placement is all an uninstall carries.

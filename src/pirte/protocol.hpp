@@ -49,10 +49,31 @@ struct FesFrame {
 
 /// One-pass framing of a kPirteMessage envelope: writes the envelope
 /// header and the inner message fields into a single sized buffer, instead
-/// of serializing the message and copying it into Envelope::message.  The
-/// server's Pusher uses this — campaign payloads run to tens of KiB per
-/// vehicle, so each saved pass is measurable.
-support::Bytes SerializeEnveloped(std::string_view vin, const PirteMessage& message);
+/// of serializing the message and copying it into Envelope::message.  Takes
+/// a view, so the server frames a per-plug-in push straight from a package
+/// held elsewhere (PirteMessage::View() adapts an owning message).
+support::Bytes SerializeEnveloped(std::string_view vin, const PirteMessageView& message);
+
+/// One plug-in's package inside a kInstallBatch push.
+struct InstallBatchPackage {
+  std::string_view plugin_name;  // kInstallPackage message plug-in name
+  std::uint32_t target_ecu = 0;
+  const InstallationPackage* package = nullptr;
+};
+
+/// One-pass framing of a whole campaign push: the envelope header, the
+/// kInstallBatch message header (naming `app_name`), and per entry the
+/// kInstallPackage framing followed by the InstallationPackage itself (its
+/// CRC patched over the body in place), all in one sized buffer.  Each
+/// package binary is copied exactly once, straight into the wire.
+/// `package_views[i]` (sized like `entries` by the caller) receives the
+/// span of entry i's serialized InstallationPackage inside the returned
+/// buffer; moving the buffer (into a SharedBytes, say) keeps the views
+/// valid.
+support::Bytes SerializeEnvelopedInstallBatch(
+    std::string_view vin, std::string_view app_name,
+    std::span<const InstallBatchPackage> entries,
+    std::span<std::span<const std::uint8_t>> package_views);
 
 /// One-pass framing of a vehicle's whole campaign answer: envelope header,
 /// kAckBatch message header and every verdict, in one sized buffer.  The

@@ -104,19 +104,26 @@ std::uint32_t FleetStore::FindRow(std::uint32_t v,
   return kNil;
 }
 
-UsedIdMap FleetStore::DeriveUsedIds(std::uint32_t v,
-                                    std::uint32_t excluding_row) const {
-  UsedIdMap used;
+void FleetStore::DeriveLayout(std::uint32_t v, IdLayout& layout,
+                              std::uint32_t excluding_row) const {
+  layout.clear();
   for (std::uint32_t r = row_head_[v]; r != kNil; r = rows_[r].next) {
     if (r == excluding_row) continue;
     for (const BatchManifest::Plugin& plugin : rows_[r].manifest->plugins) {
-      PortIdSet& set = used[plugin.ecu_id];
+      if (plugin.pic.entries.empty()) continue;
+      auto ecu = std::find_if(layout.begin(), layout.end(), [&](const auto& e) {
+        return e.first == plugin.ecu_id;
+      });
+      if (ecu == layout.end()) {
+        ecu = layout.emplace(layout.end(), plugin.ecu_id, PortIdSet{});
+      }
       for (const pirte::PicEntry& entry : plugin.pic.entries) {
-        set.insert(entry.unique_id);
+        ecu->second.insert(entry.unique_id);
       }
     }
   }
-  return used;
+  std::sort(layout.begin(), layout.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
 }
 
 void FleetStore::AddPeer(std::uint32_t v, std::shared_ptr<sim::NetPeer> peer) {

@@ -94,11 +94,13 @@ class FleetStore {
   std::uint32_t FindRow(std::uint32_t v, std::string_view app_name) const;
   std::size_t live_rows() const { return live_rows_; }
 
-  /// Occupied unique ids per ECU, derived from the rows' manifest PICs.
-  /// `excluding_row` (if not kNil) is left out — the shape rematerialize
-  /// needs when regenerating that row's own packages.
-  UsedIdMap DeriveUsedIds(std::uint32_t v,
-                          std::uint32_t excluding_row = kNil) const;
+  /// Occupied unique ids per ECU in canonical form, derived from the rows'
+  /// manifest PICs into `layout` (cleared first; a caller that reuses one
+  /// buffer derives without allocating).  `excluding_row` (if not kNil) is
+  /// left out — the shape rematerialize needs when regenerating that
+  /// row's own packages.
+  void DeriveLayout(std::uint32_t v, IdLayout& layout,
+                    std::uint32_t excluding_row = kNil) const;
 
   // --- connections ---------------------------------------------------------
 

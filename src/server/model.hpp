@@ -18,6 +18,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "pirte/context.hpp"
@@ -55,10 +56,10 @@ class PortIdSet {
     return count;
   }
 
-  /// Raw 256-bit occupancy words, lowest ids in words()[0] bit 0.  The
-  /// package cache canonicalizes a vehicle's used-id layout from these to
-  /// key batch variants without walking individual ids.
+  /// Raw 256-bit occupancy words, lowest ids in words()[0] bit 0.
   const std::array<std::uint64_t, 4>& words() const { return words_; }
+  /// Word-wise: what the package cache's layout probes compare.
+  bool operator==(const PortIdSet&) const = default;
 
   /// Claims and returns the lowest free id; nullopt once all 256 are taken.
   std::optional<std::uint8_t> AllocateLowest() {
@@ -81,6 +82,20 @@ class PortIdSet {
 
 /// Occupied unique port ids, per ECU.
 using UsedIdMap = std::unordered_map<std::uint32_t, PortIdSet>;
+
+/// The same occupancy in canonical form: (ECU, id set) pairs sorted by
+/// ECU, empty sets dropped.  Two vehicles get byte-identical packages for
+/// an app exactly when their layouts compare equal, so the package cache
+/// keys batch variants on it; comparing one allocates nothing.
+using IdLayout = std::vector<std::pair<std::uint32_t, PortIdSet>>;
+
+/// The map form GeneratePackages allocates from.
+inline UsedIdMap ToUsedIdMap(const IdLayout& layout) {
+  UsedIdMap used;
+  used.reserve(layout.size());
+  for (const auto& [ecu, set] : layout) used.emplace(ecu, set);
+  return used;
+}
 
 // --- OEM uploads (per vehicle model) -----------------------------------------
 

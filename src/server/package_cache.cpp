@@ -1,32 +1,10 @@
 #include "server/package_cache.hpp"
 
-#include <algorithm>
-
 #include "pirte/package.hpp"
 #include "pirte/protocol.hpp"
 
 namespace dacm::server {
 namespace {
-
-std::uint64_t Fnv1a(std::span<const std::uint8_t> bytes) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (std::uint8_t byte : bytes) {
-    hash ^= byte;
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
-std::string KeyOf(const std::string& model, const App& app) {
-  std::string key;
-  key.reserve(model.size() + app.name.size() + app.version.size() + 2);
-  key += model;
-  key += '\0';
-  key += app.name;
-  key += '\0';
-  key += app.version;
-  return key;
-}
 
 /// VIN-less kUninstallBatch envelope for the manifest's plug-ins.  The
 /// downstream receive path (ECM and scripted endpoints alike) routes on
@@ -44,34 +22,28 @@ support::SharedBytes BuildUninstallWire(
   batch.type = pirte::MessageType::kUninstallBatch;
   batch.plugin_name = app_name;
   batch.payload = pirte::SerializeUninstallBatch(entries);
-  return support::SharedBytes(pirte::SerializeEnveloped("", batch));
+  return support::SharedBytes(pirte::SerializeEnveloped("", batch.View()));
 }
 
+/// One sized pass: envelope, kInstallBatch framing and every package go
+/// straight into the payload's single wire buffer; the per-plug-in package
+/// views point into it.
 std::shared_ptr<const BatchPayload> BuildPayload(
     const App& app, const std::vector<GeneratedPackage>& generated) {
-  auto payload = std::make_shared<BatchPayload>();
-  payload->packages.reserve(generated.size());
-  for (const GeneratedPackage& gen : generated) {
-    payload->packages.push_back(gen.package.Serialize());
-  }
-  std::vector<pirte::InstallBatchEntry> entries;
+  std::vector<pirte::InstallBatchPackage> entries;
   entries.reserve(generated.size());
-  for (std::size_t i = 0; i < generated.size(); ++i) {
-    entries.push_back(
-        {generated[i].plugin, generated[i].ecu_id, payload->packages[i]});
+  for (const GeneratedPackage& gen : generated) {
+    entries.push_back({gen.plugin, gen.ecu_id, &gen.package});
   }
-  pirte::PirteMessage batch;
-  batch.type = pirte::MessageType::kInstallBatch;
-  batch.plugin_name = app.name;
-  batch.payload = pirte::SerializeInstallBatch(entries);
-  payload->install_wire =
-      support::SharedBytes(pirte::SerializeEnveloped("", batch));
+  auto payload = std::make_shared<BatchPayload>();
+  payload->packages.resize(generated.size());
+  payload->install_wire = support::SharedBytes(pirte::SerializeEnvelopedInstallBatch(
+      "", app.name, entries, payload->packages));
   return payload;
 }
 
 std::shared_ptr<const BatchManifest> BuildManifest(
-    const App& app, const std::vector<GeneratedPackage>& generated,
-    const BatchPayload& payload) {
+    const App& app, const std::vector<GeneratedPackage>& generated) {
   auto manifest = std::make_shared<BatchManifest>();
   manifest->app_name = app.name;
   manifest->version = app.version;
@@ -80,51 +52,57 @@ std::shared_ptr<const BatchManifest> BuildManifest(
     manifest->plugins.push_back({gen.plugin, gen.ecu_id, gen.package.pic});
   }
   manifest->uninstall_wire = BuildUninstallWire(app.name, manifest->plugins);
-  manifest->content_hash = Fnv1a(payload.install_wire.span());
   return manifest;
+}
+
+support::Result<std::vector<GeneratedPackage>> Generate(
+    const App& app, const SwConf& conf, const SystemSwConf& system_sw,
+    const IdLayout& layout) {
+  UsedIdMap used = ToUsedIdMap(layout);
+  return GeneratePackages(app, conf, system_sw, used);
 }
 
 }  // namespace
 
-PackageCache::Layout PackageCache::Canonicalize(const UsedIdMap& used_ids) {
-  Layout layout;
-  layout.reserve(used_ids.size());
-  for (const auto& [ecu, set] : used_ids) {
-    if (set.size() == 0) continue;
-    layout.emplace_back(ecu, set.words());
+std::size_t PackageCache::KeyHash::operator()(const KeyView& key) const {
+  const auto& [model, app, version] = key;
+  const std::hash<std::string_view> hash;
+  std::size_t h = hash(model);
+  for (std::string_view part : {app, version}) {
+    h ^= hash(part) + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
   }
-  std::sort(layout.begin(), layout.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return layout;
+  return h;
 }
 
 support::Result<CachedBatch> PackageCache::Acquire(
     const std::string& model, const App& app, const SwConf& conf,
-    const SystemSwConf& system_sw, const UsedIdMap& used_ids) {
-  Layout layout = Canonicalize(used_ids);
-  Entry& entry = entries_[KeyOf(model, app)];
-  for (Variant& variant : entry.variants) {
+    const SystemSwConf& system_sw, const IdLayout& layout) {
+  auto entry = entries_.find(KeyView{model, app.name, app.version});
+  if (entry == entries_.end()) {
+    entry = entries_.try_emplace(Key{model, app.name, app.version}).first;
+  }
+  for (Variant& variant : entry->second.variants) {
     if (variant.layout != layout) continue;
     if (auto payload = variant.payload.lock()) {
+      ++stats_.hits;
       return CachedBatch{variant.manifest, std::move(payload)};
     }
     // Payload expired (every in-flight row converged).  Generation is
     // deterministic in (app, confs, layout), so re-running it against the
     // matching layout reproduces the pinned manifest's bytes exactly.
-    UsedIdMap scratch = used_ids;
     DACM_ASSIGN_OR_RETURN(std::vector<GeneratedPackage> generated,
-                          GeneratePackages(app, conf, system_sw, scratch));
+                          Generate(app, conf, system_sw, layout));
     std::shared_ptr<const BatchPayload> payload = BuildPayload(app, generated);
     variant.payload = payload;
+    ++stats_.regenerations;
     return CachedBatch{variant.manifest, std::move(payload)};
   }
-  UsedIdMap scratch = used_ids;
   DACM_ASSIGN_OR_RETURN(std::vector<GeneratedPackage> generated,
-                        GeneratePackages(app, conf, system_sw, scratch));
+                        Generate(app, conf, system_sw, layout));
   std::shared_ptr<const BatchPayload> payload = BuildPayload(app, generated);
-  std::shared_ptr<const BatchManifest> manifest =
-      BuildManifest(app, generated, *payload);
-  entry.variants.push_back({std::move(layout), manifest, payload});
+  std::shared_ptr<const BatchManifest> manifest = BuildManifest(app, generated);
+  entry->second.variants.push_back({layout, manifest, payload});
+  ++stats_.variants;
   return CachedBatch{std::move(manifest), std::move(payload)};
 }
 

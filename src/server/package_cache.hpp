@@ -6,29 +6,35 @@
 // vehicle with the same occupied-port-id layout receives byte-identical
 // packages: GeneratePackages allocates unique ids lowest-free, so the
 // output is a pure function of (app, confs, used-id layout).  The cache
-// exploits that: package generation and SerializeInstallBatch run once
-// per distinct key, and every matching vehicle re-pushes the same
-// refcounted SharedBytes envelope.
+// exploits that: package generation and batch assembly run once per
+// distinct (key, layout) — a variant — and every matching vehicle
+// re-pushes the same refcounted SharedBytes envelope.  A hit (a live
+// variant) allocates nothing: the key is probed through string views and
+// the layout is the caller's reusable IdLayout buffer.
 //
 // Two lifetimes, split deliberately:
 //
 //  * BatchManifest — the part the server must keep for as long as the
 //    install row exists (plug-in names, placements, PICs, the uninstall
-//    envelope, the content hash).  A few hundred bytes per distinct
-//    batch, pinned by shared_ptr from every row.
-//  * BatchPayload — the heavy part (serialized packages + the install
-//    envelope, tens of KiB).  Rows hold it only while the install is in
-//    flight; the cache keeps a weak_ptr, so when the last pending row
-//    converges the payload is freed and steady-state memory is
-//    O(distinct batches), not O(fleet).  A later repush (recovery,
-//    restore) regenerates it deterministically from the pinned layout.
+//    envelope).  A few hundred bytes per distinct batch, pinned by
+//    shared_ptr from every row.
+//  * BatchPayload — the heavy part: ONE buffer, the install envelope,
+//    which holds each package binary exactly once (about 50 KiB for a
+//    4-plug-in app of 12 KiB binaries); the per-plug-in packages are
+//    views into it.  Rows hold it only while the install is in flight;
+//    the cache keeps a weak_ptr, so when the last pending row converges
+//    the payload is freed and steady-state memory is O(distinct batches),
+//    not O(fleet).  A later repush (recovery, restore) regenerates it
+//    deterministically from the pinned layout.
 #pragma once
 
-#include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -58,15 +64,14 @@ struct BatchManifest {
   /// Pre-built VIN-less kUninstallBatch envelope; every rollback wave for
   /// this batch pushes it by refcount bump.
   support::SharedBytes uninstall_wire;
-  /// FNV-1a over the install envelope — the content address.
-  std::uint64_t content_hash = 0;
 };
 
-/// The heavy, droppable half: serialized InstallationPackages (manifest
-/// plug-in order) and the VIN-less kInstallBatch envelope.
+/// The heavy, droppable half: the VIN-less kInstallBatch envelope, and
+/// each serialized InstallationPackage (manifest plug-in order) as a view
+/// into it — one copy of the package bytes, not two.
 struct BatchPayload {
-  std::vector<support::Bytes> packages;
   support::SharedBytes install_wire;
+  std::vector<std::span<const std::uint8_t>> packages;
 };
 
 struct CachedBatch {
@@ -81,20 +86,29 @@ struct CachedBatch {
 /// variant, so distinct keys can never alias).
 class PackageCache {
  public:
+  /// Plain event counts, folded into the metrics registry by the server.
+  struct Stats {
+    std::uint64_t hits = 0;           // served a live payload
+    std::uint64_t variants = 0;       // generated a new (key, layout) variant
+    std::uint64_t regenerations = 0;  // regenerated an expired payload
+  };
+
   /// Returns the batch for `app` on `model` given the vehicle's occupied
-  /// ids — generating it on first sight of this (key, layout), reviving
-  /// an expired payload deterministically, or handing back the live one.
-  /// Generation failures (placement/port-exhaustion/...) pass through
-  /// verbatim and cache nothing.
+  /// ids in canonical form (FleetStore::DeriveLayout) — generating it on
+  /// first sight of this (key, layout), reviving an expired payload
+  /// deterministically, or handing back the live one.  Generation
+  /// failures (placement/port-exhaustion/...) pass through verbatim and
+  /// cache nothing.
   support::Result<CachedBatch> Acquire(const std::string& model, const App& app,
                                        const SwConf& conf,
                                        const SystemSwConf& system_sw,
-                                       const UsedIdMap& used_ids);
+                                       const IdLayout& layout);
 
   /// Distinct (model, app, version) keys seen.
   std::size_t entries() const;
   /// Variants whose payload is still alive (some row holds it in flight).
   std::size_t live_payloads() const;
+  const Stats& stats() const { return stats_; }
 
   /// Builds a one-off manifest for a row replayed from the status DB: the
   /// durable paragraph records only (plugin, ecu, unique ids), which is
@@ -105,14 +119,10 @@ class PackageCache {
       std::span<const StatusParagraph::PluginIds> plugins);
 
  private:
-  /// A vehicle's occupied-id layout in canonical form: (ecu, bitmap
-  /// words) sorted by ecu, empty sets dropped.  Variant probes compare
-  /// layouts in full — no hash-collision aliasing by construction.
-  using Layout =
-      std::vector<std::pair<std::uint32_t, std::array<std::uint64_t, 4>>>;
-
+  /// Variant probes compare layouts in full — no hash-collision aliasing
+  /// by construction.
   struct Variant {
-    Layout layout;
+    IdLayout layout;
     std::shared_ptr<const BatchManifest> manifest;
     std::weak_ptr<const BatchPayload> payload;
   };
@@ -120,9 +130,18 @@ class PackageCache {
     std::vector<Variant> variants;
   };
 
-  static Layout Canonicalize(const UsedIdMap& used_ids);
+  /// (model, app, version).  The map owns the strings and is probed
+  /// through views (std::equal_to<> compares the two tuple types), so a
+  /// lookup copies no string.
+  using Key = std::tuple<std::string, std::string, std::string>;
+  using KeyView = std::tuple<std::string_view, std::string_view, std::string_view>;
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(const KeyView& key) const;  // a Key converts
+  };
 
-  std::unordered_map<std::string, Entry> entries_;
+  std::unordered_map<Key, Entry, KeyHash, std::equal_to<>> entries_;
+  Stats stats_;
 };
 
 }  // namespace dacm::server

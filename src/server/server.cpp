@@ -33,6 +33,11 @@ struct ServerMetrics {
   support::Counter& status_writes_lost;
   support::Counter& compactions;
   support::Gauge& durability_degraded;
+  /// PackageCache::Stats: live-payload hits, new variants, expired
+  /// payloads regenerated.
+  support::Counter& cache_hits;
+  support::Counter& cache_variants;
+  support::Counter& cache_regenerations;
   /// Sim-time push→converged-ack round trip per install row (µs).
   support::Histogram& deploy_roundtrip_us;
   /// Wall time of each ack-inbox flush (ns) — real time, so
@@ -61,6 +66,9 @@ struct ServerMetrics {
         registry.GetCounter("dacm_server_status_writes_lost_total"),
         registry.GetCounter("dacm_server_compactions_total"),
         registry.GetGauge("dacm_server_durability_degraded"),
+        registry.GetCounter("dacm_package_cache_hits_total"),
+        registry.GetCounter("dacm_package_cache_variants_total"),
+        registry.GetCounter("dacm_package_cache_regenerations_total"),
         registry.GetHistogram("dacm_deploy_roundtrip_us"),
         registry.GetHistogram("dacm_ack_flush_nanos"),
         registry.GetHistogram("dacm_wal_append_bytes"),
@@ -69,6 +77,19 @@ struct ServerMetrics {
     return metrics;
   }
 };
+
+/// A per-plug-in push for `plugin`; an install carries its package view
+/// (into the cached batch wire), an uninstall nothing.
+pirte::PirteMessageView PluginMessage(
+    pirte::MessageType type, const BatchManifest::Plugin& plugin,
+    std::span<const std::uint8_t> package = {}) {
+  pirte::PirteMessageView message;
+  message.type = type;
+  message.plugin_name = plugin.name;
+  message.target_ecu = plugin.ecu_id;
+  message.payload = package;
+  return message;
+}
 
 /// Status-DB encoding of an in-memory InstallState (the paragraph written
 /// when a push fails and the row snaps back to its previous state).
@@ -327,10 +348,10 @@ support::Status TrustedServer::DeployVehicle(UserId user,
   // Content-addressed batch acquisition: generation + serialization run
   // once per distinct (model, app, version, id-layout); every other
   // vehicle of the cohort reuses the cached manifest/payload by refcount.
+  store_.DeriveLayout(vehicle, layout_scratch_);
   DACM_ASSIGN_OR_RETURN(
       CachedBatch batch,
-      cache_.Acquire(model_name, app, *conf, model->sw,
-                     store_.DeriveUsedIds(vehicle)));
+      cache_.Acquire(model_name, app, *conf, model->sw, layout_scratch_));
 
   // Record + push.
   const std::uint32_t r = store_.AddRow(vehicle);
@@ -361,12 +382,10 @@ support::Status TrustedServer::DeployVehicle(UserId user,
   } else {
     for (std::size_t i = 0; i < batch.manifest->plugins.size(); ++i) {
       const BatchManifest::Plugin& plugin = batch.manifest->plugins[i];
-      pirte::PirteMessage message;
-      message.type = pirte::MessageType::kInstallPackage;
-      message.plugin_name = plugin.name;
-      message.target_ecu = plugin.ecu_id;
-      message.payload = batch.payload->packages[i];
-      auto push = PushToVehicle(peer, vin, message);
+      auto push = PushToVehicle(
+          peer, vin,
+          PluginMessage(pirte::MessageType::kInstallPackage, plugin,
+                        batch.payload->packages[i]));
       if (!push.ok()) return rollback(push);
     }
   }
@@ -599,10 +618,10 @@ support::Status TrustedServer::MaterializeRowPackages(std::uint32_t vehicle,
   // — with no other churn since the original deploy the lowest-free
   // allocator reproduces the exact ids the vehicle already holds.  On
   // failure the row (and the derived bitmap) is untouched.
+  store_.DeriveLayout(vehicle, layout_scratch_, r);
   DACM_ASSIGN_OR_RETURN(
       CachedBatch batch,
-      cache_.Acquire(model_name, app, *conf, model->sw,
-                     store_.DeriveUsedIds(vehicle, r)));
+      cache_.Acquire(model_name, app, *conf, model->sw, layout_scratch_));
   row.manifest = batch.manifest;
   row.payload = batch.payload;
   // Re-record the paragraph: the regenerated ids may differ from the
@@ -640,11 +659,8 @@ support::Status TrustedServer::UninstallApp(UserId user, const std::string& vin,
     const BatchManifest::Plugin& plugin = row.manifest->plugins[i];
     row.acked &= ~(std::uint64_t{1} << i);
     row.ack_ok &= ~(std::uint64_t{1} << i);
-    pirte::PirteMessage message;
-    message.type = pirte::MessageType::kUninstall;
-    message.plugin_name = plugin.name;
-    message.target_ecu = plugin.ecu_id;
-    DACM_RETURN_IF_ERROR(PushToVehicle(peer, vin, message));
+    DACM_RETURN_IF_ERROR(PushToVehicle(
+        peer, vin, PluginMessage(pirte::MessageType::kUninstall, plugin)));
   }
   ++stats_.uninstalls;
   return support::OkStatus();
@@ -661,18 +677,29 @@ support::Status TrustedServer::Restore(UserId user, const std::string& vin,
   // ECU ... Next, the usual installation steps are followed."  The recorded
   // packages are re-pushed verbatim, so the restored ECU gets the same
   // unique ids and contexts it had before.
+  auto touches = [&](const FleetStore::InstallRow& row) {
+    return std::any_of(row.manifest->plugins.begin(),
+                       row.manifest->plugins.end(),
+                       [&](const BatchManifest::Plugin& plugin) {
+                         return plugin.ecu_id == ecu_id;
+                       });
+  };
+  // A row mid-uninstall cannot be restored: its pending acks belong to
+  // the uninstall.  Refuse before any row changes state or any paragraph
+  // is written, as the deploy wave does.
+  for (std::uint32_t r = store_.row_head(vehicle); r != kNil;
+       r = store_.row(r).next) {
+    const FleetStore::InstallRow& row = store_.row(r);
+    if (row.state == InstallState::kUninstalling && touches(row)) {
+      return support::FailedPrecondition("uninstall of " +
+                                         row.manifest->app_name +
+                                         " in progress on " + vin);
+    }
+  }
   bool any = false;
   for (std::uint32_t r = store_.row_head(vehicle); r != kNil;
        r = store_.row(r).next) {
-    {
-      const FleetStore::InstallRow& row = store_.row(r);
-      const bool touches = std::any_of(
-          row.manifest->plugins.begin(), row.manifest->plugins.end(),
-          [&](const BatchManifest::Plugin& plugin) {
-            return plugin.ecu_id == ecu_id;
-          });
-      if (!touches) continue;
-    }
+    if (!touches(store_.row(r))) continue;
     any = true;
     // A recovered (or converged) row has no payload; rebuild from the
     // catalog before re-pushing (same ids when the layout is unchanged).
@@ -688,13 +715,10 @@ support::Status TrustedServer::Restore(UserId user, const std::string& vin,
       if (plugin.ecu_id != ecu_id) continue;
       row.acked &= ~(std::uint64_t{1} << i);
       row.ack_ok &= ~(std::uint64_t{1} << i);
-      pirte::PirteMessage message;
-      message.type = pirte::MessageType::kInstallPackage;
-      message.plugin_name = plugin.name;
-      message.target_ecu = plugin.ecu_id;
-      message.payload = row.payload->packages[i];
-      DACM_RETURN_IF_ERROR(
-          PushToVehicle(store_.FirstConnectedPeer(vehicle), vin, message));
+      DACM_RETURN_IF_ERROR(PushToVehicle(
+          store_.FirstConnectedPeer(vehicle), vin,
+          PluginMessage(pirte::MessageType::kInstallPackage, plugin,
+                        row.payload->packages[i])));
     }
   }
   if (!any) {
@@ -751,7 +775,8 @@ std::shared_ptr<const Vehicle> TrustedServer::FindVehicle(
       plugin.ecu_id = manifest.plugins[i].ecu_id;
       plugin.pic = manifest.plugins[i].pic;
       if (row.payload != nullptr) {
-        plugin.package_bytes = row.payload->packages[i];
+        plugin.package_bytes.assign(row.payload->packages[i].begin(),
+                                    row.payload->packages[i].end());
       }
       plugin.acked = ((row.acked >> i) & 1) != 0;
       plugin.ack_ok = ((row.ack_ok >> i) & 1) != 0;
@@ -761,7 +786,9 @@ std::shared_ptr<const Vehicle> TrustedServer::FindVehicle(
     record.uninstall_bytes = manifest.uninstall_wire;
     view->installed.push_back(std::move(record));
   }
-  view->port_ids = store_.DeriveUsedIds(vehicle);
+  IdLayout layout;
+  store_.DeriveLayout(vehicle, layout);
+  view->port_ids = ToUsedIdMap(layout);
   return view;
 }
 
@@ -795,6 +822,10 @@ void TrustedServer::FoldStatsToMetrics() const {
   metrics.status_writes_lost.Set(stats_.status_writes_lost);
   metrics.compactions.Set(stats_.compactions);
   metrics.durability_degraded.Set(stats_.durability_degraded ? 1 : 0);
+  const PackageCache::Stats& cache = cache_.stats();
+  metrics.cache_hits.Set(cache.hits);
+  metrics.cache_variants.Set(cache.variants);
+  metrics.cache_regenerations.Set(cache.regenerations);
 }
 
 // --- internals ---------------------------------------------------------------------------
@@ -1327,9 +1358,9 @@ void TrustedServer::ApplyStagedAck(const StagedAck& staged) {
   }
 }
 
-support::Status TrustedServer::PushToVehicle(sim::NetPeer* peer,
-                                             std::string_view vin,
-                                             const pirte::PirteMessage& message) {
+support::Status TrustedServer::PushToVehicle(
+    sim::NetPeer* peer, std::string_view vin,
+    const pirte::PirteMessageView& message) {
   return PushWireToVehicle(
       peer, vin,
       support::SharedBytes(pirte::SerializeEnveloped(vin, message)));

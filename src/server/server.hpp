@@ -206,7 +206,9 @@ class TrustedServer {
                                const std::string& app_name);
 
   /// Restore after physical ECU replacement: re-pushes the recorded
-  /// packages of every installed plug-in placed on `ecu_id`.
+  /// packages of every installed plug-in placed on `ecu_id`.  Refused
+  /// (kFailedPrecondition, nothing pushed or recorded) while an app with
+  /// a plug-in there is being uninstalled.
   support::Status Restore(UserId user, const std::string& vin, std::uint32_t ecu_id);
 
   // --- recovery ---------------------------------------------------------------
@@ -373,7 +375,7 @@ class TrustedServer {
   /// Pushes over `peer`, the vehicle's first live connection
   /// (FleetStore::FirstConnectedPeer); null means offline (kUnavailable).
   support::Status PushToVehicle(sim::NetPeer* peer, std::string_view vin,
-                                const pirte::PirteMessage& message);
+                                const pirte::PirteMessageView& message);
   /// Pushes an already-serialized envelope (cached campaign batches are
   /// pushed this way: one refcount bump, no serialization).
   support::Status PushWireToVehicle(sim::NetPeer* peer, std::string_view vin,
@@ -432,6 +434,9 @@ class TrustedServer {
 
   /// Content-addressed batch cache.
   PackageCache cache_;
+  /// Reused by every Acquire: a vehicle's id layout is derived into it,
+  /// so a cache hit allocates nothing.
+  IdLayout layout_scratch_;
 
   /// Packed columnar vehicle/row/connection state (fleet_store.hpp).
   FleetStore store_;

@@ -85,6 +85,14 @@ inline void StoreLeU64(std::uint8_t* p, std::uint64_t v) {
   }
 }
 
+/// Encoded size of `v` as a ByteWriter::WriteVarU32 varint (1..5 bytes),
+/// for framers that size a whole buffer before writing it.
+constexpr std::size_t VarU32Size(std::uint32_t v) {
+  std::size_t size = 1;
+  for (v >>= 7; v != 0; v >>= 7) ++size;
+  return size;
+}
+
 /// Appends little-endian encoded fields to an internal buffer.
 class ByteWriter {
  public:
@@ -124,6 +132,12 @@ class ByteWriter {
 
   void WriteRaw(std::span<const std::uint8_t> raw) {
     buffer_.insert(buffer_.end(), raw.begin(), raw.end());
+  }
+
+  /// Overwrites the u32 at `offset` (written earlier as a placeholder):
+  /// lets a one-pass framer emit a checksum over bytes that follow it.
+  void PatchU32(std::size_t offset, std::uint32_t v) {
+    StoreLeU32(buffer_.data() + offset, v);
   }
 
   /// Pre-allocates room for `additional` more bytes, so a burst of writes

@@ -1,12 +1,18 @@
 // Direct unit tests of the server's context generator (paper §3.2.2):
 // PIC id assignment against the occupied-id map, PLC translation for every
 // ConnectionDecl target, the same-ECU vs cross-ECU peer split, Type II
-// channel lookup, ECC extraction, and the generator's rejection diagnostics.
+// channel lookup, ECC extraction, the generator's rejection diagnostics,
+// and the package cache's one-pass assembly of the install batch.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "fes/appgen.hpp"
 #include "fes/testbed.hpp"
+#include "pirte/protocol.hpp"
 #include "server/context_gen.hpp"
+#include "server/package_cache.hpp"
+#include "support/crc.hpp"
 
 namespace dacm::server {
 namespace {
@@ -321,6 +327,181 @@ TEST(CollectUsedIdsTest, GathersIdsPerEcuFromInstalledTable) {
   EXPECT_TRUE(used.at(1).contains(5));
   EXPECT_TRUE(used.at(2).contains(5));  // same id, different ECUs: fine
   EXPECT_EQ(used.at(1).size(), 1u);
+}
+
+// --- install batch assembly --------------------------------------------------------------
+
+/// Three plug-ins over two ECUs whose contexts use every PLC kind and both
+/// ECC directions: `a` on ECU 1, `b` and `c` on ECU 2.
+App RichApp() {
+  App app;
+  app.name = "rich";
+  app.version = "2.0";
+  const support::Bytes binary = fes::MakeEchoPluginBinary();
+  auto plugin = [&](const std::string& name, std::uint8_t ports) {
+    PluginDecl decl;
+    decl.name = name;
+    decl.binary = binary;
+    for (std::uint8_t i = 0; i < ports; ++i) {
+      decl.ports.push_back({i, name + ".p" + std::to_string(i),
+                            i % 2 == 0 ? pirte::PluginPortDirection::kRequired
+                                       : pirte::PluginPortDirection::kProvided});
+    }
+    return decl;
+  };
+  app.plugins = {plugin("a", 4), plugin("b", 4), plugin("c", 2)};
+  SwConf conf;
+  conf.vehicle_model = "rpi-testbed";
+  conf.placements = {{"a", 1}, {"b", 2}, {"c", 2}};
+  using Target = ConnectionDecl::Target;
+  conf.connections = {
+      {"a", 0, Target::kExternalIn, "", "", 0, "1.2.3.4:5", "Wheels"},
+      {"a", 1, Target::kExternalOut, "", "", 0, "5.6.7.8:9", "Telemetry"},
+      {"a", 2, Target::kPeerPlugin, "", "b", 0, "", ""},  // cross-ECU
+      {"b", 1, Target::kVirtualPort, "WheelsReq", "", 0, "", ""},
+      {"b", 2, Target::kPeerPlugin, "", "c", 0, "", ""},  // same ECU
+      {"c", 1, Target::kNone, "", "", 0, "", ""},
+  };
+  app.confs.push_back(std::move(conf));
+  return app;
+}
+
+/// The composition the one-pass writer replaced, kept as its reference:
+/// each package serialized body-first and CRC-prefixed, each framed as a
+/// kInstallPackage message, the count-prefixed batch wrapped in a
+/// kInstallBatch message, and that in a VIN-less envelope.
+support::Bytes ReferencePackage(const pirte::InstallationPackage& package) {
+  support::ByteWriter body;
+  body.WriteString(package.plugin_name);
+  body.WriteString(package.version);
+  package.pic.SerializeTo(body);
+  package.plc.SerializeTo(body);
+  package.ecc.SerializeTo(body);
+  body.WriteBlob(package.binary);
+  support::ByteWriter out;
+  out.WriteU32(support::Crc32(body.bytes()));
+  out.WriteRaw(body.bytes());
+  return out.Take();
+}
+
+support::Bytes ReferenceInstallWire(const App& app,
+                                    const std::vector<GeneratedPackage>& generated) {
+  support::ByteWriter batch;
+  batch.WriteVarU32(static_cast<std::uint32_t>(generated.size()));
+  for (const GeneratedPackage& gen : generated) {
+    pirte::PirteMessage message;
+    message.type = pirte::MessageType::kInstallPackage;
+    message.plugin_name = gen.plugin;
+    message.target_ecu = gen.ecu_id;
+    message.payload = ReferencePackage(gen.package);
+    batch.WriteBlob(message.Serialize());
+  }
+  pirte::PirteMessage message;
+  message.type = pirte::MessageType::kInstallBatch;
+  message.plugin_name = app.name;
+  message.payload = batch.Take();
+  pirte::Envelope envelope;
+  envelope.kind = pirte::Envelope::Kind::kPirteMessage;
+  envelope.message = message.Serialize();
+  return envelope.Serialize();
+}
+
+struct AssemblyTest : ::testing::Test {
+  const App app = RichApp();
+  const VehicleModelConf model = fes::MakeRpiTestbedConf();
+  /// Ids the vehicle already occupies: 0 and 3 on ECU 1, 1 on ECU 2.
+  const IdLayout layout = {{1, PortIdSet{0, 3}}, {2, PortIdSet{1}}};
+
+  std::vector<GeneratedPackage> Generated() {
+    UsedIdMap used = ToUsedIdMap(layout);
+    auto generated = GeneratePackages(app, Conf(app), model.sw, used);
+    EXPECT_TRUE(generated.ok()) << generated.status().ToString();
+    return generated.ok() ? std::move(*generated) : std::vector<GeneratedPackage>{};
+  }
+};
+
+TEST_F(AssemblyTest, FixtureCoversEveryPlcKindAndBothEccDirections) {
+  const auto generated = Generated();
+  std::vector<PlcKind> kinds;
+  std::vector<pirte::EccDirection> directions;
+  for (const GeneratedPackage& gen : generated) {
+    EXPECT_FALSE(gen.package.pic.entries.empty()) << gen.plugin;
+    for (const auto& entry : gen.package.plc.entries) kinds.push_back(entry.kind);
+    for (const auto& entry : gen.package.ecc.entries) directions.push_back(entry.direction);
+  }
+  for (PlcKind kind : {PlcKind::kUnconnected, PlcKind::kVirtual,
+                       PlcKind::kVirtualRemote, PlcKind::kLocalPlugin}) {
+    EXPECT_NE(std::find(kinds.begin(), kinds.end(), kind), kinds.end())
+        << static_cast<int>(kind);
+  }
+  for (auto direction : {pirte::EccDirection::kInbound, pirte::EccDirection::kOutbound}) {
+    EXPECT_NE(std::find(directions.begin(), directions.end(), direction),
+              directions.end());
+  }
+}
+
+TEST_F(AssemblyTest, InstallWireIsByteIdenticalToTheComposedReference) {
+  PackageCache cache;
+  auto batch = cache.Acquire("rpi-testbed", app, Conf(app), model.sw, layout);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  const auto generated = Generated();
+  EXPECT_EQ(batch->payload->install_wire.bytes(), ReferenceInstallWire(app, generated));
+}
+
+TEST_F(AssemblyTest, PackageViewsDeserializeToTheGeneratedPackages) {
+  PackageCache cache;
+  auto batch = cache.Acquire("rpi-testbed", app, Conf(app), model.sw, layout);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  const auto generated = Generated();
+  const BatchPayload& payload = *batch->payload;
+  ASSERT_EQ(payload.packages.size(), generated.size());
+  const std::uint8_t* wire_begin = payload.install_wire.data();
+  const std::uint8_t* wire_end = wire_begin + payload.install_wire.size();
+  for (std::size_t i = 0; i < generated.size(); ++i) {
+    const std::span<const std::uint8_t> view = payload.packages[i];
+    // One copy of the bytes: every view points into the install wire.
+    EXPECT_GE(view.data(), wire_begin) << i;
+    EXPECT_LE(view.data() + view.size(), wire_end) << i;
+    auto package = pirte::InstallationPackage::Deserialize(view);  // CRC checked
+    ASSERT_TRUE(package.ok()) << i << ": " << package.status().ToString();
+    const pirte::InstallationPackage& want = generated[i].package;
+    EXPECT_EQ(package->plugin_name, want.plugin_name) << i;
+    EXPECT_EQ(package->version, want.version) << i;
+    EXPECT_EQ(package->binary, want.binary) << i;
+    EXPECT_EQ(ReferencePackage(*package), ReferencePackage(want)) << i;
+    EXPECT_EQ(batch->manifest->plugins[i].name, generated[i].plugin) << i;
+    EXPECT_EQ(batch->manifest->plugins[i].ecu_id, generated[i].ecu_id) << i;
+  }
+}
+
+TEST_F(AssemblyTest, CacheCountsHitsVariantsAndRegenerations) {
+  PackageCache cache;
+  auto first = cache.Acquire("rpi-testbed", app, Conf(app), model.sw, layout);
+  ASSERT_TRUE(first.ok());
+  const support::Bytes wire = first->payload->install_wire.bytes();
+  auto hit = cache.Acquire("rpi-testbed", app, Conf(app), model.sw, layout);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_EQ(hit->payload, first->payload);
+  EXPECT_EQ(cache.stats().variants, 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+
+  // Every holder drops the payload; the next acquire regenerates the
+  // same bytes against the pinned manifest.
+  const auto manifest = first->manifest;
+  first = support::Internal("dropped");
+  hit = support::Internal("dropped");
+  EXPECT_EQ(cache.live_payloads(), 0u);
+  auto regenerated = cache.Acquire("rpi-testbed", app, Conf(app), model.sw, layout);
+  ASSERT_TRUE(regenerated.ok());
+  EXPECT_EQ(regenerated->manifest, manifest);
+  EXPECT_EQ(regenerated->payload->install_wire.bytes(), wire);
+  EXPECT_EQ(cache.stats().regenerations, 1u);
+
+  // Another layout is another variant of the same key.
+  const IdLayout other = {{1, PortIdSet{0}}};
+  ASSERT_TRUE(cache.Acquire("rpi-testbed", app, Conf(app), model.sw, other).ok());
+  EXPECT_EQ(cache.stats().variants, 2u);
+  EXPECT_EQ(cache.entries(), 1u);
 }
 
 // --- the paper's exact example ---------------------------------------------------------------

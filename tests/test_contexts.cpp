@@ -271,16 +271,34 @@ TEST(PirteMessageTest, ViewParseAgreesWithOwningParse) {
 // --- campaign batches --------------------------------------------------------------------------
 
 TEST(InstallBatchTest, EntriesRoundTripAsIndividualInstallMessages) {
-  const support::Bytes pkg_a = {10, 11, 12};
-  const support::Bytes pkg_b = {20};
-  const std::vector<InstallBatchEntry> entries = {
-      {"app.p0", 1, pkg_a},
-      {"app.p1", 2, pkg_b},
+  InstallationPackage pkg_a;
+  pkg_a.plugin_name = "app.p0";
+  pkg_a.version = "1.0";
+  pkg_a.pic = SamplePic();
+  pkg_a.plc = SamplePlc();
+  pkg_a.ecc = SampleEcc();
+  pkg_a.binary = {10, 11, 12};
+  InstallationPackage pkg_b;
+  pkg_b.plugin_name = "app.p1";
+  pkg_b.binary = {20};
+  const std::vector<InstallBatchPackage> entries = {
+      {"app.p0", 1, &pkg_a},
+      {"app.p1", 2, &pkg_b},
   };
-  const auto payload = SerializeInstallBatch(entries);
+  std::vector<std::span<const std::uint8_t>> views(entries.size());
+  const auto wire = SerializeEnvelopedInstallBatch("VIN-1", "app", entries, views);
+
+  auto envelope = EnvelopeView::Parse(wire);
+  ASSERT_TRUE(envelope.ok());
+  EXPECT_EQ(envelope->kind, Envelope::Kind::kPirteMessage);
+  EXPECT_EQ(envelope->vin, "VIN-1");
+  auto batch = PirteMessageView::Parse(envelope->message);
+  ASSERT_TRUE(batch.ok());
+  EXPECT_EQ(batch->type, MessageType::kInstallBatch);
+  EXPECT_EQ(batch->plugin_name, "app");
 
   std::vector<PirteMessage> unpacked;
-  auto status = ForEachInBatch(payload, [&](std::span<const std::uint8_t> entry) {
+  auto status = ForEachInBatch(batch->payload, [&](std::span<const std::uint8_t> entry) {
     auto inner = PirteMessage::Deserialize(entry);
     if (!inner.ok()) return inner.status();
     unpacked.push_back(std::move(*inner));
@@ -290,23 +308,40 @@ TEST(InstallBatchTest, EntriesRoundTripAsIndividualInstallMessages) {
   ASSERT_EQ(unpacked.size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
     // The one-pass batch framing must be byte-identical to serializing
-    // the equivalent kInstallPackage message.
+    // the equivalent kInstallPackage message, and each view must be
+    // exactly that message's payload: the package, CRC included.
     PirteMessage equivalent;
     equivalent.type = MessageType::kInstallPackage;
     equivalent.plugin_name = entries[i].plugin_name;
     equivalent.target_ecu = entries[i].target_ecu;
-    equivalent.payload.assign(entries[i].package_bytes.begin(),
-                              entries[i].package_bytes.end());
+    equivalent.payload = entries[i].package->Serialize();
     EXPECT_EQ(unpacked[i].Serialize(), equivalent.Serialize()) << i;
+    EXPECT_TRUE(std::equal(views[i].begin(), views[i].end(),
+                           equivalent.payload.begin(), equivalent.payload.end()))
+        << i;
+    EXPECT_TRUE(InstallationPackage::Deserialize(views[i]).ok()) << i;
   }
   // Truncation never crashes or reads out of range.
-  for (std::size_t cut = 0; cut < payload.size(); cut += 3) {
-    auto truncated = payload;
-    truncated.resize(cut);
-    (void)ForEachInBatch(truncated, [](std::span<const std::uint8_t>) {
+  for (std::size_t cut = 0; cut < batch->payload.size(); cut += 3) {
+    (void)ForEachInBatch(batch->payload.first(cut), [](std::span<const std::uint8_t>) {
       return support::OkStatus();
     });
   }
+}
+
+TEST(PackageTest, WireSizeMatchesSerializedSize) {
+  InstallationPackage package;
+  package.plugin_name = "p";
+  package.version = "2.1";
+  package.pic = SamplePic();
+  package.plc = SamplePlc();
+  package.ecc = SampleEcc();
+  package.binary.assign(300, 0x5a);
+  EXPECT_EQ(package.Serialize().size(), package.WireSize());
+  // A 130-entry PIC needs a two-byte count varint.
+  package.pic.entries.resize(130);
+  EXPECT_EQ(package.Serialize().size(), package.WireSize());
+  EXPECT_EQ(InstallationPackage{}.Serialize().size(), InstallationPackage{}.WireSize());
 }
 
 TEST(AckBatchTest, RoundTripThroughViewsAndOwningApi) {

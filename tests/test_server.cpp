@@ -358,6 +358,32 @@ TEST_F(ServerFixture, RestoreOnlyTouchesTheReplacedEcu) {
   EXPECT_TRUE(ecm->pushed.empty());
 }
 
+TEST_F(ServerFixture, RestoreDuringUninstallIsRefused) {
+  DeployAndAck("app");  // placed on ECU 1
+  ASSERT_TRUE(server.UninstallApp(alice, "VIN-1", "app").ok());
+  Settle();
+  ASSERT_EQ(ecm->pushed.size(), 1u);
+  ecm->pushed.clear();
+  const std::uint64_t pushed_before = server.stats().packages_pushed;
+
+  // The row's outstanding ack belongs to the uninstall; a restore now
+  // would take it as its own install ack.
+  const auto status = server.Restore(alice, "VIN-1", 1);
+  EXPECT_EQ(status.code(), support::ErrorCode::kFailedPrecondition);
+  EXPECT_NE(status.message().find("uninstall of app in progress"),
+            std::string::npos)
+      << status.ToString();
+  Settle();
+  EXPECT_TRUE(ecm->pushed.empty());
+  EXPECT_EQ(server.stats().packages_pushed, pushed_before);
+  EXPECT_EQ(server.stats().restores, 0u);
+  EXPECT_EQ(*server.AppState("VIN-1", "app"), InstallState::kUninstalling);
+
+  // The uninstall still converges and removes the row.
+  ecm->Ack("app.p0", true);
+  EXPECT_FALSE(server.AppState("VIN-1", "app").ok());
+}
+
 // --- ack routing -----------------------------------------------------------------------------
 
 /// Sends a kAck for `plugin` over `peer`, naming `vin` in the envelope

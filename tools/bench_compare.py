@@ -107,6 +107,12 @@ KEY_METRICS = [
      "real_time", "figure-3 remote-car deploy ms"),
     ("bench_fig2_server", "BM_DeployVsPluginCount/4",
      "real_time", "figure-2 deploy ns (4 plug-ins)"),
+    # Package assembly (PackageCache::Acquire's generating paths) for the
+    # 4-plug-in x 8-port, 12 KiB campaign app.
+    ("bench_abl_context", "BM_BatchAssembly/new_variant",
+     "real_time", "batch assembly ns (new variant)"),
+    ("bench_abl_context", "BM_BatchAssembly/regenerate",
+     "real_time", "batch assembly ns (expired payload)"),
 ]
 
 # Absolute invariants checked against the CURRENT results alone — bars the

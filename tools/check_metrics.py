@@ -32,6 +32,12 @@ REQUIRED_FAMILIES = [
     ("dacm_wal_append_bytes", "histogram", False),
     ("dacm_wal_fsync_nanos", "histogram", False),
     ("dacm_fleet_time_to_install_us", "histogram", False),
+    # Package cache: a campaign reuses one variant across its cohort, so
+    # hits and variants are non-zero; regenerations need an expired
+    # payload, which a short campaign may never see.
+    ("dacm_package_cache_hits_total", "counter", True),
+    ("dacm_package_cache_variants_total", "counter", True),
+    ("dacm_package_cache_regenerations_total", "counter", False),
 ]
 
 
