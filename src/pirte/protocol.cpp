@@ -107,8 +107,10 @@ support::Bytes SerializeEnvelopedAckBatch(
   const std::size_t payload = AckBatchWireSize(verdicts);
   const std::size_t inner = PirteMessage::kFixedWireSize + payload;
   support::ByteWriter writer;
-  writer.Reserve(kEnvelopeHeaderSize + vin.size() + inner);
-  WriteEnvelopeHeader(writer, vin, inner);
+  writer.Reserve(9 + vin.size() + inner);
+  writer.WriteU8(static_cast<std::uint8_t>(Envelope::Kind::kPirteMessage));
+  writer.WriteString(vin);
+  writer.WriteU32(static_cast<std::uint32_t>(inner));  // message blob framing
   PirteMessage::SerializeHeaderTo(writer, MessageType::kAckBatch,
                                   /*plugin_name=*/{}, /*target_ecu=*/0,
                                   /*dest_port=*/0, /*ok=*/true, /*detail=*/{},
