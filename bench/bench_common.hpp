@@ -5,9 +5,11 @@
 // cheapest complete environment in which every PLC routing kind can be
 // exercised.
 //
-// ScriptedVehicle — a scripted ECM endpoint for server benchmarks: accepts
-// pushes and acks instantly, so benchmarks measure the server pipeline,
-// not the vehicle.
+// ConnectScriptedVehicle — one scripted ECM endpoint for server
+// benchmarks (a fes::ScriptedFleet of one): it acks every push at once, so
+// benchmarks measure the server pipeline, not the vehicle.  OkOrSkip
+// stops a benchmark on the first failed server call instead of timing
+// rejections.
 //
 // DACM_BENCH_MAIN — the shared driver entry point.  On top of the stock
 // Google Benchmark flags it understands:
@@ -32,6 +34,7 @@
 #include "bsw/nvm.hpp"
 #include "fes/appgen.hpp"
 #include "fes/ecu.hpp"
+#include "fes/fleet.hpp"
 #include "fes/testbed.hpp"
 #include "pirte/pirte.hpp"
 #include "server/server.hpp"
@@ -190,43 +193,25 @@ inline pirte::InstallationPackage MakePackage(const std::string& name,
   return package;
 }
 
-/// Scripted vehicle endpoint: immediately acks every install/uninstall push.
-class ScriptedVehicle {
- public:
-  ScriptedVehicle(sim::Simulator& simulator, sim::Network& network,
-                  server::TrustedServer& server, std::string vin)
-      : simulator_(simulator), vin_(std::move(vin)) {
-    auto client = network.Connect(server.address());
-    peer_ = std::move(*client);
-    peer_->SetReceiveHandler([this](const support::SharedBytes& data) {
-      auto envelope = pirte::Envelope::Deserialize(data);
-      if (!envelope.ok()) return;
-      auto message = pirte::PirteMessage::Deserialize(envelope->message);
-      if (!message.ok()) return;
-      if (message->type == pirte::MessageType::kInstallPackage ||
-          message->type == pirte::MessageType::kUninstall) {
-        pirte::PirteMessage ack;
-        ack.type = pirte::MessageType::kAck;
-        ack.plugin_name = message->plugin_name;
-        ack.ok = true;
-        pirte::Envelope reply;
-        reply.kind = pirte::Envelope::Kind::kPirteMessage;
-        reply.vin = vin_;
-        reply.message = ack.Serialize();
-        (void)peer_->Send(reply.Serialize());
-      }
-    });
-    pirte::Envelope hello;
-    hello.kind = pirte::Envelope::Kind::kHello;
-    hello.vin = vin_;
-    (void)peer_->Send(hello.Serialize());
-    simulator_.Run();
-  }
+/// Binds VIN-0 to `user` on `server` and connects a scripted endpoint for
+/// it that acks every push at once.
+inline std::unique_ptr<fes::ScriptedFleet> ConnectScriptedVehicle(
+    sim::Simulator& simulator, sim::Network& network,
+    server::TrustedServer& server, server::UserId user) {
+  fes::ScriptedFleetOptions options;
+  options.vin_prefix = "VIN-";
+  auto vehicle = std::make_unique<fes::ScriptedFleet>(simulator, network,
+                                                      server, options);
+  (void)vehicle->BindAndConnect(user);  // a failure surfaces at Deploy
+  return vehicle;
+}
 
- private:
-  sim::Simulator& simulator_;
-  std::string vin_;
-  std::shared_ptr<sim::NetPeer> peer_;
-};
+/// True when `status` is ok; otherwise marks the benchmark errored with
+/// the status text (the caller then stops iterating).
+inline bool OkOrSkip(benchmark::State& state, const support::Status& status) {
+  if (status.ok()) return true;
+  state.SkipWithError(status.ToString().c_str());
+  return false;
+}
 
 }  // namespace dacm::bench

@@ -2,17 +2,17 @@
 //
 // The paper's trusted server is "a central point of intelligence" for
 // every vehicle; the north-star scales it to fleet-wide OTA campaigns.
-// Four benchmark families:
+// Benchmark families:
 //
 //   * BM_FleetCampaign — the single-shot DeployCampaign pipeline
 //     (per-vehicle compatibility checks, PIC/PLC/ECC generation, package
 //     assembly, batched pushes) plus the simulated delivery and
-//     acknowledgement round, against fleet size.
+//     acknowledgement round, against fleet size.  Interactive Deploy
+//     runs the same per-vehicle core and pushes the same batch, so it
+//     has no family of its own.
 //   * BM_FleetDurableCampaign — the same rollout with the write-ahead
 //     status DB and campaign journal enabled; bench_compare.py holds its
 //     deploys/s against the memory-only campaign baseline.
-//   * BM_FleetSyncDeploy — the pre-campaign reference: one interactive
-//     Deploy per vehicle with per-plug-in pushes.
 //   * BM_RecoveryReplay — restart cost: a cold server rebuilt from the
 //     durable logs of a multi-campaign history (RecoverInstallDb +
 //     journal replay), raw vs checkpointed; reports replay bytes/s,
@@ -53,7 +53,6 @@
 #include "server/campaign.hpp"
 #include "server/journal.hpp"
 #include "sim/fault.hpp"
-#include "support/crc.hpp"
 #include "support/metrics.hpp"
 #include "support/storage.hpp"
 
@@ -287,37 +286,6 @@ void BM_FleetDurableCampaign(benchmark::State& state) {
                             static_cast<std::int64_t>(fleet_size));
   }
   ReportQuantiles(state, "wal_fsync", "us", fsync_nanos, 1.0 / 1000.0);
-}
-
-// The classic interactive path: one Deploy per vehicle, one push per
-// plug-in, all on the calling thread — the baseline the batched campaign
-// must not fall behind.
-void BM_FleetSyncDeploy(benchmark::State& state) {
-  const auto fleet_size = static_cast<std::size_t>(state.range(0));
-  FleetBench bench(fleet_size);
-  for (auto _ : state) {
-    for (const std::string& vin : bench.fleet->vins()) {
-      (void)bench.server.Deploy(bench.user, vin, "campaign");
-    }
-    bench.simulator.Run();
-
-    state.PauseTiming();
-    auto last_state =
-        bench.server.AppState(bench.fleet->vins().back(), "campaign");
-    if (!last_state.ok() || *last_state != server::InstallState::kInstalled) {
-      state.SkipWithError("fleet did not fully deploy");
-      state.ResumeTiming();
-      break;
-    }
-    bench.UninstallAll();
-    state.ResumeTiming();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(fleet_size));
-  state.counters["fleet"] = static_cast<double>(fleet_size);
-  state.SetLabel(std::string("crc=") + support::Crc32Backend());
-  state.counters["crc_is_hw"] =
-      std::string(support::Crc32Backend()) != "slice8" ? 1.0 : 0.0;
 }
 
 // Recovery replay: time-to-serviceable from the durable logs — the cost
@@ -653,17 +621,6 @@ void RegisterFleetBenchmarks(const std::vector<std::int64_t>& fleet_list,
     // Only the shape bench_compare tracks against the memory-only
     // campaign — the durability delta, not another full matrix.
     durable->Arg(1000);
-  }
-
-  auto* sync = benchmark::RegisterBenchmark("BM_FleetSyncDeploy",
-                                            BM_FleetSyncDeploy)
-                   ->ArgNames({"fleet"})
-                   ->UseRealTime()
-                   ->Unit(benchmark::kMillisecond);
-  if (overridden) {
-    for (std::int64_t fleet : fleet_list) sync->Arg(fleet);
-  } else {
-    sync->Arg(100)->Arg(1000);
   }
 
   auto* recovery =

@@ -199,8 +199,7 @@ void ScriptedFleet::OnMessage(std::size_t index,
       }
       return;
     }
-    case pirte::MessageType::kInstallPackage:
-    case pirte::MessageType::kUninstall: {
+    case pirte::MessageType::kInstallPackage: {
       ++packages_received_;
       pirte::PirteMessage reply;
       reply.type = pirte::MessageType::kAck;

@@ -6,12 +6,13 @@
 // bus, ECUs or PIRTEs — so a 10k-vehicle fleet costs a few MB instead of
 // a few GB, and the measured work is the *server's* pipeline.
 //
-// Endpoints understand all three push shapes: per-plug-in
-// kInstallPackage / kUninstall messages (answered with one kAck each),
-// campaign kInstallBatch messages, and rollback kUninstallBatch messages
-// (each batch answered with a single kAckBatch covering every embedded
-// entry).  Parsing uses the zero-copy views, so the per-message
-// vehicle-side cost stays far below the server-side work being measured.
+// Endpoints understand the server's three push shapes: the kInstallBatch
+// every deploy pushes and the kUninstallBatch every uninstall pushes (each
+// batch answered with a single kAckBatch covering every embedded entry,
+// or one kAck per entry), and Restore's per-plug-in kInstallPackage
+// (answered with one kAck).  Parsing uses the zero-copy views, so the
+// per-message vehicle-side cost stays far below the server-side work
+// being measured.
 //
 // The fleet doubles as a sim::FleetFaultTarget: fault scenarios
 // (sim/fault.hpp) can churn endpoints offline (the connection closes;
@@ -43,9 +44,9 @@ struct ScriptedFleetOptions {
   /// default) binds the whole fleet to `model`.  Every named model must
   /// be uploaded before BindAndConnect.
   std::vector<std::string> models;
-  /// Answer campaign batches with one kAckBatch (the cheap path).  When
-  /// false, every embedded package is acknowledged individually — useful
-  /// to exercise the server's mixed-ack handling.
+  /// Answer each batch with one kAckBatch (the cheap path).  When false,
+  /// every embedded entry is acknowledged individually, as the real ECM
+  /// does — useful to exercise the server's mixed-ack handling.
   bool batch_ack = true;
   /// Acks report failure for every Nth vehicle (0 = all succeed).
   std::size_t nack_every = 0;

@@ -1,7 +1,8 @@
 // Campaign orchestration engine: retrying multi-wave rollouts.
 //
-// DeployCampaign (server.hpp) is single-shot: one batched push per
-// vehicle, no second chances.  A real fleet converges only if somebody
+// DeployCampaign (server.hpp) is single-shot: one kInstallBatch push per
+// vehicle — the same push interactive Deploy makes — and no second
+// chances.  A real fleet converges only if somebody
 // retries — vehicles are offline, links flap mid-push, ECUs nack while a
 // transient clears.  The engine is that somebody: a durable per-campaign
 // state machine driven entirely by simulator events.
@@ -21,8 +22,9 @@
 // fraction crosses the abort threshold, or the wave budget is exhausted.
 //
 // Rollback campaigns (StartRollback) run the same machine in reverse:
-// one kUninstallBatch per vehicle — the kInstallBatch framing mirrored —
-// converging when the vehicle's row is gone.
+// one kUninstallBatch per vehicle — the kInstallBatch framing mirrored,
+// and the same push interactive UninstallApp makes — converging when the
+// vehicle's row is gone.
 //
 // Determinism: orchestration, wave pushes and ack application all run on
 // the simulation thread in event order, so a seeded fault scenario

@@ -78,13 +78,12 @@ struct ServerMetrics {
   }
 };
 
-/// A per-plug-in push for `plugin`; an install carries its package view
-/// (into the cached batch wire), an uninstall nothing.
-pirte::PirteMessageView PluginMessage(
-    pirte::MessageType type, const BatchManifest::Plugin& plugin,
-    std::span<const std::uint8_t> package = {}) {
+/// Restore's per-plug-in push: `plugin`'s package view (into the cached
+/// batch wire) as a kInstallPackage message.
+pirte::PirteMessageView PluginInstallMessage(
+    const BatchManifest::Plugin& plugin, std::span<const std::uint8_t> package) {
   pirte::PirteMessageView message;
-  message.type = type;
+  message.type = pirte::MessageType::kInstallPackage;
   message.plugin_name = plugin.name;
   message.target_ecu = plugin.ecu_id;
   message.payload = package;
@@ -266,7 +265,7 @@ support::Status TrustedServer::UploadApp(App app) {
 support::Status TrustedServer::DeployVehicle(UserId user,
                                              std::uint32_t vehicle,
                                              std::string_view vin,
-                                             const App& app, bool batched) {
+                                             const App& app) {
   if (vehicle == kNil || !store_.bound(vehicle)) {
     return support::NotFound("VIN: " + std::string(vin));
   }
@@ -374,28 +373,18 @@ support::Status TrustedServer::DeployVehicle(UserId user,
     return error;
   };
 
-  if (batched) {
-    // Campaign path: push the cached batch envelope — a refcount bump,
-    // no per-vehicle serialization at all.
-    auto push = PushWireToVehicle(peer, vin, batch.payload->install_wire);
-    if (!push.ok()) return rollback(push);
-  } else {
-    for (std::size_t i = 0; i < batch.manifest->plugins.size(); ++i) {
-      const BatchManifest::Plugin& plugin = batch.manifest->plugins[i];
-      auto push = PushToVehicle(
-          peer, vin,
-          PluginMessage(pirte::MessageType::kInstallPackage, plugin,
-                        batch.payload->packages[i]));
-      if (!push.ok()) return rollback(push);
-    }
+  // Push the cached batch envelope — a refcount bump, no per-vehicle
+  // serialization at all; the ECM unpacks it into per-plug-in packages.
+  if (auto push = PushWireToVehicle(peer, vin, batch.payload->install_wire);
+      !push.ok()) {
+    return rollback(push);
   }
   // Sim time of the wire push: the convergence path turns this into the
   // push→ack round-trip histogram and trace span.
   row.pushed_at = network_.simulator().Now();
   ++stats_.deploys_ok;
   DACM_LOG_INFO("server") << "deploy " << app.name << " -> " << vin << " ("
-                          << batch.manifest->plugins.size() << " plug-ins"
-                          << (batched ? ", batched)" : ")");
+                          << batch.manifest->plugins.size() << " plug-ins)";
   return support::OkStatus();
 }
 
@@ -411,8 +400,7 @@ support::Status TrustedServer::Deploy(UserId user, const std::string& vin,
     }
     return support::NotFound("app: " + app_name);
   }
-  return DeployVehicle(user, store_.Find(vin), vin, app_it->second,
-                       /*batched=*/false);
+  return DeployVehicle(user, store_.Find(vin), vin, app_it->second);
 }
 
 support::Result<CampaignReport> TrustedServer::DeployCampaign(
@@ -428,8 +416,7 @@ support::Result<CampaignReport> TrustedServer::DeployCampaign(
   ServerMetrics& metrics = ServerMetrics::Get();
   for (const std::string& vin : vins) {
     const auto start = std::chrono::steady_clock::now();
-    auto status = DeployVehicle(user, store_.Find(vin), vin, app,
-                                /*batched=*/true);
+    auto status = DeployVehicle(user, store_.Find(vin), vin, app);
     const auto ns = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - start)
@@ -525,28 +512,9 @@ WaveOutcome TrustedServer::WavePushTarget(UserId user,
                                        " must be uninstalled first: " +
                                        dependents)};
     }
-    // One kUninstallBatch per vehicle — the kInstallBatch framing in
-    // reverse, pre-built on the manifest so every wave (and every vehicle
-    // of the cohort) pushes the same buffer by refcount.  Ack masks reset
-    // so a repeated wave (lost acks) converges.
-    FleetStore::InstallRow& row = store_.row(r);
-    const InstallState previous = row.state;
-    row.acked = 0;
-    row.ack_ok = 0;
-    // Write-ahead: half-removed before the uninstall batch leaves.
-    WriteStatus(vin, row, Want::kDeinstall, DbState::kHalfRemoved);
-    row.state = InstallState::kUninstalling;
-    auto push = PushWireToVehicle(store_.FirstConnectedPeer(vehicle), vin,
-                                  row.manifest->uninstall_wire);
-    if (!push.ok()) {
-      row.state = previous;
-      // Undo the write-ahead: re-record the state the row snapped back to.
-      WriteStatus(vin, row, WantFor(previous), DbStateFor(previous));
-      return ClassifyPush(std::move(push));
-    }
-    row.pushed_at = network_.simulator().Now();
-    ++stats_.rollback_pushes;
-    return WaveOutcome{WaveOutcome::Action::kPushed, {}};
+    auto push = PushUninstall(vehicle, vin, r);
+    if (push.ok()) ++stats_.rollback_pushes;
+    return ClassifyPush(std::move(push));
   }
 
   // Deploy wave.
@@ -574,8 +542,34 @@ WaveOutcome TrustedServer::WavePushTarget(UserId user,
       }
     }
   }
-  return ClassifyPush(
-      DeployVehicle(user, vehicle, vin, *app, /*batched=*/true));
+  return ClassifyPush(DeployVehicle(user, vehicle, vin, *app));
+}
+
+support::Status TrustedServer::PushUninstall(std::uint32_t vehicle,
+                                             std::string_view vin,
+                                             std::uint32_t r) {
+  // One kUninstallBatch per vehicle — the kInstallBatch framing in
+  // reverse, pre-built on the manifest so every push (and every vehicle
+  // of the cohort) sends the same buffer by refcount.
+  FleetStore::InstallRow& row = store_.row(r);
+  const InstallState previous = row.state;
+  // Write-ahead: half-removed before the uninstall batch leaves.
+  WriteStatus(vin, row, Want::kDeinstall, DbState::kHalfRemoved);
+  row.state = InstallState::kUninstalling;
+  auto push = PushWireToVehicle(store_.FirstConnectedPeer(vehicle), vin,
+                                row.manifest->uninstall_wire);
+  if (!push.ok()) {
+    row.state = previous;
+    // Undo the write-ahead: re-record the state the row snapped back to.
+    WriteStatus(vin, row, WantFor(previous), DbStateFor(previous));
+    return push;
+  }
+  // Ack masks reset once the batch is on the wire (a failed push leaves
+  // them as they were), so a repeated push (lost acks) converges.
+  row.acked = 0;
+  row.ack_ok = 0;
+  row.pushed_at = network_.simulator().Now();
+  return support::OkStatus();
 }
 
 support::Status TrustedServer::RepushInstallBatch(std::uint32_t vehicle,
@@ -650,18 +644,7 @@ support::Status TrustedServer::UninstallApp(UserId user, const std::string& vin,
                                         " must be uninstalled first: " + dependents);
   }
 
-  FleetStore::InstallRow& row = store_.row(r);
-  // Write-ahead: half-removed before any uninstall message leaves.
-  WriteStatus(vin, row, Want::kDeinstall, DbState::kHalfRemoved);
-  row.state = InstallState::kUninstalling;
-  sim::NetPeer* peer = store_.FirstConnectedPeer(vehicle);
-  for (std::size_t i = 0; i < row.manifest->plugins.size(); ++i) {
-    const BatchManifest::Plugin& plugin = row.manifest->plugins[i];
-    row.acked &= ~(std::uint64_t{1} << i);
-    row.ack_ok &= ~(std::uint64_t{1} << i);
-    DACM_RETURN_IF_ERROR(PushToVehicle(
-        peer, vin, PluginMessage(pirte::MessageType::kUninstall, plugin)));
-  }
+  DACM_RETURN_IF_ERROR(PushUninstall(vehicle, vin, r));
   ++stats_.uninstalls;
   return support::OkStatus();
 }
@@ -717,8 +700,7 @@ support::Status TrustedServer::Restore(UserId user, const std::string& vin,
       row.ack_ok &= ~(std::uint64_t{1} << i);
       DACM_RETURN_IF_ERROR(PushToVehicle(
           store_.FirstConnectedPeer(vehicle), vin,
-          PluginMessage(pirte::MessageType::kInstallPackage, plugin,
-                        row.payload->packages[i])));
+          PluginInstallMessage(plugin, row.payload->packages[i])));
     }
   }
   if (!any) {
@@ -806,26 +788,40 @@ bool TrustedServer::HasApp(const std::string& app_name) const {
   return apps_.contains(app_name);
 }
 
-void TrustedServer::FoldStatsToMetrics() const {
+void TrustedServer::FoldStatsToMetrics() {
+  // The registry counters are process-wide and several servers may share
+  // the process, so each fold adds this server's growth since its last
+  // fold instead of overwriting the totals.
   ServerMetrics& metrics = ServerMetrics::Get();
-  metrics.packages_pushed.Set(stats_.packages_pushed);
-  metrics.acks_received.Set(stats_.acks_received);
-  metrics.nacks_received.Set(stats_.nacks_received);
-  metrics.deploys_ok.Set(stats_.deploys_ok);
-  metrics.deploys_rejected.Set(stats_.deploys_rejected);
-  metrics.uninstalls.Set(stats_.uninstalls);
-  metrics.restores.Set(stats_.restores);
-  metrics.repushes.Set(stats_.repushes);
-  metrics.rollback_pushes.Set(stats_.rollback_pushes);
-  metrics.connections_reaped.Set(stats_.connections_reaped);
-  metrics.status_write_retries.Set(stats_.status_write_retries);
-  metrics.status_writes_lost.Set(stats_.status_writes_lost);
-  metrics.compactions.Set(stats_.compactions);
+  // Most counters do not move between two flushes; skip their atomic add.
+  auto add = [](support::Counter& counter, std::uint64_t grown) {
+    if (grown != 0) counter.Inc(grown);
+  };
+  auto fold = [&](support::Counter& counter,
+                  std::uint64_t ServerStats::*field) {
+    add(counter, stats_.*field - folded_stats_.*field);
+  };
+  fold(metrics.packages_pushed, &ServerStats::packages_pushed);
+  fold(metrics.acks_received, &ServerStats::acks_received);
+  fold(metrics.nacks_received, &ServerStats::nacks_received);
+  fold(metrics.deploys_ok, &ServerStats::deploys_ok);
+  fold(metrics.deploys_rejected, &ServerStats::deploys_rejected);
+  fold(metrics.uninstalls, &ServerStats::uninstalls);
+  fold(metrics.restores, &ServerStats::restores);
+  fold(metrics.repushes, &ServerStats::repushes);
+  fold(metrics.rollback_pushes, &ServerStats::rollback_pushes);
+  fold(metrics.connections_reaped, &ServerStats::connections_reaped);
+  fold(metrics.status_write_retries, &ServerStats::status_write_retries);
+  fold(metrics.status_writes_lost, &ServerStats::status_writes_lost);
+  fold(metrics.compactions, &ServerStats::compactions);
+  folded_stats_ = stats_;
   metrics.durability_degraded.Set(stats_.durability_degraded ? 1 : 0);
   const PackageCache::Stats& cache = cache_.stats();
-  metrics.cache_hits.Set(cache.hits);
-  metrics.cache_variants.Set(cache.variants);
-  metrics.cache_regenerations.Set(cache.regenerations);
+  PackageCache::Stats& last = folded_cache_stats_;
+  add(metrics.cache_hits, cache.hits - last.hits);
+  add(metrics.cache_variants, cache.variants - last.variants);
+  add(metrics.cache_regenerations, cache.regenerations - last.regenerations);
+  last = cache;
 }
 
 // --- internals ---------------------------------------------------------------------------

@@ -186,29 +186,36 @@ class TrustedServer {
   // --- Web Services: operations -----------------------------------------------------
 
   /// Deploys `app_name` onto `vin`: compatibility check, dependency /
-  /// conflict check, context generation, package push.  On success the
-  /// InstalledAPP row is kPending until all acks arrive.
+  /// conflict check, context generation, then one push of the cached
+  /// kInstallBatch carrying every plug-in's package (the ECM unpacks it
+  /// and acknowledges each plug-in).  On success the InstalledAPP row is
+  /// kPending until all acks arrive; a failed push leaves no row.
   support::Status Deploy(UserId user, const std::string& vin,
                          const std::string& app_name);
 
   /// Fleet-wide OTA campaign: deploys `app_name` to every VIN in `vins`,
-  /// in order, pushing one batched package set per vehicle.  Per-vehicle
+  /// in order, exactly as Deploy does for one.  Per-vehicle
   /// rejections land in the report; only a missing app fails the whole
   /// campaign.
   support::Result<CampaignReport> DeployCampaign(UserId user,
                                                  const std::string& app_name,
                                                  std::span<const std::string> vins);
 
-  /// Uninstalls an app; fails with kDependencyViolation when other
-  /// installed apps depend on it (the paper notifies the user instead of
-  /// cascading).
+  /// Uninstalls an app with one push of the manifest's kUninstallBatch
+  /// (the ECM unpacks it into per-plug-in uninstalls); the row is
+  /// kUninstalling until every plug-in acks.  Fails with
+  /// kDependencyViolation when other installed apps depend on it (the
+  /// paper notifies the user instead of cascading), and with kUnavailable
+  /// when the vehicle is offline — the row then keeps its state.
   support::Status UninstallApp(UserId user, const std::string& vin,
                                const std::string& app_name);
 
   /// Restore after physical ECU replacement: re-pushes the recorded
-  /// packages of every installed plug-in placed on `ecu_id`.  Refused
-  /// (kFailedPrecondition, nothing pushed or recorded) while an app with
-  /// a plug-in there is being uninstalled.
+  /// packages of every installed plug-in placed on `ecu_id`, one
+  /// kInstallPackage each (a whole-row batch would re-install the
+  /// plug-ins on the healthy ECUs).  Refused (kFailedPrecondition,
+  /// nothing pushed or recorded) while an app with a plug-in there is
+  /// being uninstalled.
   support::Status Restore(UserId user, const std::string& vin, std::uint32_t ecu_id);
 
   // --- recovery ---------------------------------------------------------------
@@ -261,7 +268,7 @@ class TrustedServer {
   RowProbe ProbeRow(std::uint32_t vehicle, std::string_view app_name) const;
 
   /// One orchestrated campaign wave: per target, performs whatever the
-  /// kind requires right now — a fresh batched deploy, a re-push of the
+  /// kind requires right now — a fresh deploy, a re-push of the
   /// recorded batch for a stale kPending row, a clear-and-redeploy of a
   /// nacked row, or a kUninstallBatch rollback push — in `targets` order,
   /// like DeployCampaign.  Targets must come from
@@ -317,10 +324,11 @@ class TrustedServer {
     std::span<const std::uint8_t> message;
   };
 
-  /// Snapshots ServerStats into the process metrics registry.  Called
-  /// after each ack flush and campaign — the counters stay plain fields
-  /// on the hot path; only the fold touches the registry.
-  void FoldStatsToMetrics() const;
+  /// Adds this server's ServerStats (and cache stats) growth since its
+  /// last fold to the process metrics registry.  Called after each ack
+  /// flush and campaign — the counters stay plain fields on the hot
+  /// path; only the fold touches the registry.
+  void FoldStatsToMetrics();
 
   support::Status CheckOwnership(UserId user, UserId owner,
                                  std::string_view vin) const;
@@ -331,17 +339,22 @@ class TrustedServer {
   }
 
   /// The full per-vehicle deploy pipeline on a resolved handle (kNil or
-  /// unbound: rejected as an unknown VIN).  `batched` selects one
-  /// kInstallBatch push (campaigns) vs one push per plug-in (interactive
-  /// Deploy).
+  /// unbound: rejected as an unknown VIN), shared by Deploy,
+  /// DeployCampaign and deploy waves: checks, cached batch acquisition,
+  /// write-ahead row, one kInstallBatch push (rolled back if it fails).
   support::Status DeployVehicle(UserId user, std::uint32_t vehicle,
-                                std::string_view vin, const App& app,
-                                bool batched);
+                                std::string_view vin, const App& app);
 
   /// One target of a campaign wave; `app` is null for rollback waves.
   WaveOutcome WavePushTarget(UserId user, const WaveTarget& target,
                              const std::string& app_name, const App* app,
                              CampaignKind kind);
+  /// The uninstall push shared by UninstallApp and rollback waves: writes
+  /// the half-removed paragraph, marks the row kUninstalling, pushes the
+  /// manifest's kUninstallBatch and resets the ack masks.  A failed push
+  /// snaps the row back to its previous state and re-records it.
+  support::Status PushUninstall(std::uint32_t vehicle, std::string_view vin,
+                                std::uint32_t row);
   /// Re-pushes the install batch of a stale kPending row (previous
   /// wave's acks were lost), resetting its ack masks.  Rematerializes the
   /// payload — dropped on convergence, never persisted — before pushing,
@@ -372,12 +385,14 @@ class TrustedServer {
   /// Schedules the ack-inbox flush event at Now() (once per batch of
   /// arrivals).
   void ScheduleAckFlush();
-  /// Pushes over `peer`, the vehicle's first live connection
-  /// (FleetStore::FirstConnectedPeer); null means offline (kUnavailable).
+  /// Pushes one per-plug-in message (Restore only) over `peer`, the
+  /// vehicle's first live connection (FleetStore::FirstConnectedPeer);
+  /// null means offline (kUnavailable).
   support::Status PushToVehicle(sim::NetPeer* peer, std::string_view vin,
                                 const pirte::PirteMessageView& message);
-  /// Pushes an already-serialized envelope (cached campaign batches are
-  /// pushed this way: one refcount bump, no serialization).
+  /// Pushes an already-serialized envelope (the cached install and
+  /// uninstall batches are pushed this way: one refcount bump, no
+  /// serialization).
   support::Status PushWireToVehicle(sim::NetPeer* peer, std::string_view vin,
                                     const support::SharedBytes& wire);
 
@@ -456,6 +471,10 @@ class TrustedServer {
   /// Weak-referenced by accept/flush callbacks and in-flight SYNs: they
   /// go inert when the server is destroyed instead of dangling.
   std::shared_ptr<const bool> alive_ = std::make_shared<bool>(true);
+  /// The stats as of the last FoldStatsToMetrics: the next fold adds
+  /// only the growth since.
+  ServerStats folded_stats_;
+  PackageCache::Stats folded_cache_stats_;
 };
 
 }  // namespace dacm::server

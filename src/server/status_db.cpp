@@ -31,23 +31,18 @@ const std::vector<pirte::PicEntry>& PluginIdList(
 std::uint8_t UniqueId(std::uint8_t id) { return id; }
 std::uint8_t UniqueId(const pirte::PicEntry& entry) { return entry.unique_id; }
 
-std::size_t VarU32Size(std::uint32_t v) {
-  std::size_t size = 1;
-  for (; v >= 0x80; v >>= 7) ++size;
-  return size;
-}
-
 /// Encoded size of a paragraph: the encoder below sizes its buffer once.
 template <typename Plugin>
 std::size_t EncodedSize(const ParagraphHead& head,
                         std::span<const Plugin> plugins) {
   std::size_t size = 1 + 3 * 4 + head.vin.size() + head.app.size() +
                      head.version.size() + 2 +
-                     VarU32Size(static_cast<std::uint32_t>(plugins.size()));
+                     support::VarU32Size(
+                         static_cast<std::uint32_t>(plugins.size()));
   for (const Plugin& plugin : plugins) {
     const std::size_t ids = PluginIdList(plugin).size();
     size += 4 + PluginName(plugin).size() + 4 +
-            VarU32Size(static_cast<std::uint32_t>(ids)) + ids;
+            support::VarU32Size(static_cast<std::uint32_t>(ids)) + ids;
   }
   return size;
 }

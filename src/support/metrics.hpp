@@ -10,10 +10,9 @@
 // destroyed or relocated while the process lives.
 //
 // Aggregates that already exist as plain fields (ServerStats) are not
-// duplicated on the hot path: the server folds them into registry
-// counters with Counter::Set after each ack flush and campaign.  Hence
-// Counter supports both styles: Inc (owned by the metric) and Set
-// (folded snapshot of an external aggregate).
+// duplicated on the hot path: after each ack flush and campaign the
+// server Incs the registry counters by its growth since its last fold, so
+// servers sharing a process add up instead of overwriting each other.
 //
 // Histograms use 65 fixed log2 buckets — bucket 0 holds exactly the value
 // 0 and bucket i (i >= 1) holds [2^(i-1), 2^i - 1] — so any u64
@@ -38,15 +37,12 @@
 
 namespace dacm::support {
 
-/// Monotonic (or folded-snapshot) u64 metric.  Inc from any thread;
-/// Set only from a fold point where the source aggregate is quiescent.
+/// Monotonic u64 metric.  Inc from any thread.
 class Counter {
  public:
   void Inc(std::uint64_t n = 1) {
     value_.fetch_add(n, std::memory_order_relaxed);
   }
-  /// Overwrites with an externally-aggregated snapshot (ack-flush fold).
-  void Set(std::uint64_t v) { value_.store(v, std::memory_order_relaxed); }
   std::uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
   void Reset() { value_.store(0, std::memory_order_relaxed); }
 

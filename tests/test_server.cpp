@@ -8,17 +8,21 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 
 #include "fes/appgen.hpp"
 #include "fes/fleet.hpp"
 #include "fes/testbed.hpp"
+#include "pirte/package.hpp"
 #include "server/server.hpp"
+#include "support/storage.hpp"
 
 namespace dacm::server {
 namespace {
 
 /// A scripted ECM stand-in: connects to the server, says hello, records
-/// every pushed message, and acks on demand.
+/// every pushed per-plug-in message — unpacking kInstallBatch and
+/// kUninstallBatch pushes as the real ECM does — and acks on demand.
 struct FakeEcm {
   sim::Simulator& simulator;
   std::shared_ptr<sim::NetPeer> peer;
@@ -35,7 +39,20 @@ struct FakeEcm {
       auto envelope = pirte::Envelope::Deserialize(data);
       if (!envelope.ok()) return;
       auto message = pirte::PirteMessage::Deserialize(envelope->message);
-      if (message.ok()) pushed.push_back(*message);
+      if (!message.ok()) return;
+      if (message->type != pirte::MessageType::kInstallBatch &&
+          message->type != pirte::MessageType::kUninstallBatch) {
+        pushed.push_back(*message);
+        return;
+      }
+      EXPECT_TRUE(pirte::ForEachInBatch(
+                      message->payload,
+                      [this](std::span<const std::uint8_t> entry) {
+                        auto inner = pirte::PirteMessage::Deserialize(entry);
+                        if (inner.ok()) pushed.push_back(*inner);
+                        return inner.status();
+                      })
+                      .ok());
     });
     pirte::Envelope hello;
     hello.kind = pirte::Envelope::Kind::kHello;
@@ -161,10 +178,11 @@ TEST_F(ServerFixture, AppUploadValidation) {
 
 // --- deploy pipeline ------------------------------------------------------------------------
 
-TEST_F(ServerFixture, DeployPushesOnePackagePerPlugin) {
+TEST_F(ServerFixture, DeployPushesOneBatchCarryingEveryPackage) {
   ASSERT_TRUE(server.UploadApp(EchoApp("app", /*plugins=*/3)).ok());
   ASSERT_TRUE(server.Deploy(alice, "VIN-1", "app").ok());
   Settle();
+  EXPECT_EQ(server.stats().packages_pushed, 1u);
   ASSERT_EQ(ecm->pushed.size(), 3u);
   for (const auto& message : ecm->pushed) {
     EXPECT_EQ(message.type, pirte::MessageType::kInstallPackage);
@@ -328,6 +346,55 @@ TEST_F(ServerFixture, UninstallBlockedByDependents) {
 TEST_F(ServerFixture, UninstallUnknownAppFails) {
   EXPECT_EQ(server.UninstallApp(alice, "VIN-1", "ghost").code(),
             support::ErrorCode::kNotFound);
+}
+
+TEST(ServerDurabilityTest, UninstallOfflineVehicleLeavesTheRowInstalled) {
+  sim::Simulator simulator;
+  sim::Network network{simulator, sim::kMillisecond};
+  support::MemorySink status_log;
+  ServerOptions options;
+  options.status_sink = &status_log;
+  TrustedServer server(network, "srv:443", options);
+  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(server.UploadVehicleModel(fes::MakeRpiTestbedConf()).ok());
+  const UserId alice = *server.CreateUser("alice");
+  ASSERT_TRUE(server.BindVehicle(alice, "VIN-1", "rpi-testbed").ok());
+  FakeEcm ecm(simulator, network, server, "VIN-1");
+  fes::SyntheticAppParams params;
+  params.name = "app";
+  params.vehicle_model = "rpi-testbed";
+  params.plugin_count = 2;
+  params.target_ecu = 1;
+  ASSERT_TRUE(server.UploadApp(fes::MakeSyntheticApp(params)).ok());
+  ASSERT_TRUE(server.Deploy(alice, "VIN-1", "app").ok());
+  simulator.Run();
+  ecm.AckAllPushedInstalls();
+  ASSERT_EQ(*server.AppState("VIN-1", "app"), InstallState::kInstalled);
+
+  ecm.peer->Close();
+  simulator.Run();
+  EXPECT_EQ(server.UninstallApp(alice, "VIN-1", "app").code(),
+            support::ErrorCode::kUnavailable);
+  // The push never left: the row snaps back to installed, fully acked,
+  // instead of waiting behind a half-removed paragraph for acks that
+  // cannot come.
+  EXPECT_EQ(*server.AppState("VIN-1", "app"), InstallState::kInstalled);
+  EXPECT_EQ(server.stats().uninstalls, 0u);
+  EXPECT_EQ(server.Deploy(alice, "VIN-1", "app").code(),
+            support::ErrorCode::kAlreadyExists);
+  const WaveTarget target{"VIN-1", server.ResolveVehicle("VIN-1")};
+  const auto outcomes = server.CampaignWavePush(
+      alice, "app", CampaignKind::kDeploy, std::span(&target, 1));
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_EQ(outcomes[0].action, WaveOutcome::Action::kAlreadyDone)
+      << outcomes[0].status.ToString();
+
+  // The snap-back was re-recorded: a server recovered from the status
+  // log holds the same fleet.
+  TrustedServer recovered(network, "srv-recover:1");
+  ASSERT_TRUE(recovered.RecoverInstallDb(status_log.bytes()).ok());
+  EXPECT_EQ(recovered.DescribeFleet(), server.DescribeFleet());
+  EXPECT_EQ(recovered.FleetFingerprint(), server.FleetFingerprint());
 }
 
 // --- restore ---------------------------------------------------------------------------------

@@ -11,6 +11,7 @@
 #include <set>
 
 #include "fes/appgen.hpp"
+#include "fes/fleet.hpp"
 #include "fes/testbed.hpp"
 #include "server/server.hpp"
 #include "test_util.hpp"
@@ -18,63 +19,24 @@
 namespace dacm::server {
 namespace {
 
-/// Scripted auto-acking vehicle endpoint (no real ECU stack — these tests
-/// pin server behaviour only).
-struct AckingVehicle {
-  sim::Simulator& simulator;
-  std::shared_ptr<sim::NetPeer> peer;
-  std::string vin;
-  std::uint64_t installs_seen = 0;
-  std::uint64_t uninstalls_seen = 0;
-
-  AckingVehicle(sim::Simulator& simulator, sim::Network& network,
-                TrustedServer& server, std::string vin_in)
-      : simulator(simulator), vin(std::move(vin_in)) {
-    auto client = network.Connect(server.address());
-    EXPECT_TRUE(client.ok());
-    peer = std::move(*client);
-    peer->SetReceiveHandler([this](const support::Bytes& data) {
-      auto envelope = pirte::Envelope::Deserialize(data);
-      if (!envelope.ok()) return;
-      auto message = pirte::PirteMessage::Deserialize(envelope->message);
-      if (!message.ok()) return;
-      if (message->type != pirte::MessageType::kInstallPackage &&
-          message->type != pirte::MessageType::kUninstall) {
-        return;
-      }
-      if (message->type == pirte::MessageType::kInstallPackage) ++installs_seen;
-      if (message->type == pirte::MessageType::kUninstall) ++uninstalls_seen;
-      pirte::PirteMessage ack;
-      ack.type = pirte::MessageType::kAck;
-      ack.plugin_name = message->plugin_name;
-      ack.ok = true;
-      pirte::Envelope reply;
-      reply.kind = pirte::Envelope::Kind::kPirteMessage;
-      reply.vin = vin;
-      reply.message = ack.Serialize();
-      (void)peer->Send(reply.Serialize());
-    });
-    pirte::Envelope hello;
-    hello.kind = pirte::Envelope::Kind::kHello;
-    hello.vin = vin;
-    EXPECT_TRUE(peer->Send(hello.Serialize()).ok());
-    simulator.Run();
-  }
-};
-
 struct ServerProperty : ::testing::Test {
   sim::Simulator simulator;
   sim::Network network{simulator, sim::kMicrosecond};
   TrustedServer server{network, "srv:443"};
   UserId user = UserId::Invalid();
-  std::unique_ptr<AckingVehicle> vehicle;
+  /// One scripted auto-acking endpoint, VIN-0 (no real ECU stack — these
+  /// tests pin server behaviour only).
+  std::unique_ptr<fes::ScriptedFleet> vehicle;
 
   void SetUp() override {
     ASSERT_TRUE(server.Start().ok());
     ASSERT_TRUE(server.UploadVehicleModel(fes::MakeRpiTestbedConf()).ok());
     user = *server.CreateUser("prop");
-    ASSERT_TRUE(server.BindVehicle(user, "VIN-1", "rpi-testbed").ok());
-    vehicle = std::make_unique<AckingVehicle>(simulator, network, server, "VIN-1");
+    fes::ScriptedFleetOptions options;
+    options.vin_prefix = "VIN-";
+    vehicle = std::make_unique<fes::ScriptedFleet>(simulator, network, server,
+                                                   options);
+    ASSERT_TRUE(vehicle->BindAndConnect(user).ok());
   }
 
   void Upload(const std::string& name, std::uint32_t ports = 2,
@@ -89,21 +51,21 @@ struct ServerProperty : ::testing::Test {
   }
 
   void Deploy(const std::string& name) {
-    ASSERT_TRUE(server.Deploy(user, "VIN-1", name).ok()) << name;
+    ASSERT_TRUE(server.Deploy(user, "VIN-0", name).ok()) << name;
     simulator.Run();
-    ASSERT_EQ(*server.AppState("VIN-1", name), InstallState::kInstalled) << name;
+    ASSERT_EQ(*server.AppState("VIN-0", name), InstallState::kInstalled) << name;
   }
 
   void Uninstall(const std::string& name) {
-    ASSERT_TRUE(server.UninstallApp(user, "VIN-1", name).ok()) << name;
+    ASSERT_TRUE(server.UninstallApp(user, "VIN-0", name).ok()) << name;
     simulator.Run();
-    ASSERT_FALSE(server.AppState("VIN-1", name).ok()) << name;
+    ASSERT_FALSE(server.AppState("VIN-0", name).ok()) << name;
   }
 
   /// All unique ids currently recorded for the vehicle, asserting no clash.
   std::set<std::uint8_t> CollectIds() {
     std::set<std::uint8_t> ids;
-    const auto record = server.FindVehicle("VIN-1");
+    const auto record = server.FindVehicle("VIN-0");
     EXPECT_NE(record, nullptr);
     for (const auto& installed : record->installed) {
       for (const auto& plugin : installed.plugins) {
@@ -169,13 +131,13 @@ TEST_P(ChainDepth, ChainsDismantleOnlyInReverseOrder) {
   }
   // Every non-leaf uninstall is rejected while its dependent lives.
   for (int i = 0; i < depth - 1; ++i) {
-    EXPECT_EQ(server.UninstallApp(user, "VIN-1", "c" + std::to_string(i)).code(),
+    EXPECT_EQ(server.UninstallApp(user, "VIN-0", "c" + std::to_string(i)).code(),
               support::ErrorCode::kDependencyViolation)
         << "c" << i;
   }
   // Reverse order succeeds all the way down.
   for (int i = depth - 1; i >= 0; --i) Uninstall("c" + std::to_string(i));
-  EXPECT_TRUE(server.InstalledApps("VIN-1").empty());
+  EXPECT_TRUE(server.InstalledApps("VIN-0").empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(Depths, ChainDepth, ::testing::Values(2, 3, 5, 8));
@@ -187,11 +149,11 @@ TEST_F(ServerProperty, DiamondDependencyNeedsBothBranchesGone) {
   Upload("right", 2, {"base"});
   Deploy("left");
   Deploy("right");
-  EXPECT_FALSE(server.UninstallApp(user, "VIN-1", "base").ok());
+  EXPECT_FALSE(server.UninstallApp(user, "VIN-0", "base").ok());
   Uninstall("left");
-  EXPECT_FALSE(server.UninstallApp(user, "VIN-1", "base").ok());  // right remains
+  EXPECT_FALSE(server.UninstallApp(user, "VIN-0", "base").ok());  // right remains
   Uninstall("right");
-  EXPECT_TRUE(server.UninstallApp(user, "VIN-1", "base").ok());
+  EXPECT_TRUE(server.UninstallApp(user, "VIN-0", "base").ok());
 }
 
 // --- restore idempotence --------------------------------------------------------------------
@@ -205,20 +167,20 @@ TEST_P(RestoreCount, RestoreIsIdempotentAndContextPreserving) {
     Deploy("app" + std::to_string(i));
   }
   const auto ids_before = CollectIds();
-  const auto installed_before = server.InstalledApps("VIN-1");
+  const auto installed_before = server.InstalledApps("VIN-0");
 
   for (int round = 0; round < 3; ++round) {
-    ASSERT_TRUE(server.Restore(user, "VIN-1", 1).ok());
+    ASSERT_TRUE(server.Restore(user, "VIN-0", 1).ok());
     simulator.Run();
     EXPECT_EQ(CollectIds(), ids_before) << "round " << round;
-    EXPECT_EQ(server.InstalledApps("VIN-1"), installed_before);
+    EXPECT_EQ(server.InstalledApps("VIN-0"), installed_before);
     for (int i = 0; i < apps; ++i) {
-      EXPECT_EQ(*server.AppState("VIN-1", "app" + std::to_string(i)),
+      EXPECT_EQ(*server.AppState("VIN-0", "app" + std::to_string(i)),
                 InstallState::kInstalled);
     }
   }
-  // Each restore re-pushed one package per app.
-  EXPECT_EQ(vehicle->installs_seen, static_cast<std::uint64_t>(apps) * 4);
+  // The deploy and each restore pushed one package per app.
+  EXPECT_EQ(vehicle->packages_received(), static_cast<std::uint64_t>(apps) * 4);
 }
 
 INSTANTIATE_TEST_SUITE_P(Counts, RestoreCount, ::testing::Values(1, 3, 8));
@@ -237,7 +199,7 @@ TEST_F(ServerProperty, InstalledTableMatchesAckedDeploysThroughout) {
       Uninstall(victim);
       expected.erase(victim);
     }
-    const auto listed = server.InstalledApps("VIN-1");
+    const auto listed = server.InstalledApps("VIN-0");
     EXPECT_EQ(std::set<std::string>(listed.begin(), listed.end()), expected)
         << "after step " << i;
   }
@@ -253,12 +215,12 @@ TEST_F(ServerProperty, ConflictIsCheckedAgainstLiveAppsOnly) {
   ASSERT_TRUE(server.UploadApp(fes::MakeSyntheticApp(params)).ok());
 
   Deploy("peace");
-  EXPECT_EQ(server.Deploy(user, "VIN-1", "war").code(),
+  EXPECT_EQ(server.Deploy(user, "VIN-0", "war").code(),
             support::ErrorCode::kDependencyViolation);
   Uninstall("peace");
   Deploy("war");  // conflict gone with the app
   // And the reverse direction: the live app's conflict list blocks newcomers.
-  EXPECT_EQ(server.Deploy(user, "VIN-1", "peace").code(),
+  EXPECT_EQ(server.Deploy(user, "VIN-0", "peace").code(),
             support::ErrorCode::kDependencyViolation);
 }
 
@@ -286,7 +248,7 @@ TEST_F(ServerProperty, RandomDeployUninstallChurnKeepsIdsUniqueAndTableExact) {
     // Invariants after every step: recorded ids never clash (CollectIds
     // asserts that) and the installed table is exactly the live set.
     CollectIds();
-    const auto record = server.FindVehicle("VIN-1");
+    const auto record = server.FindVehicle("VIN-0");
     ASSERT_NE(record, nullptr);
     std::set<std::string> installed;
     for (const auto& app : record->installed) installed.insert(app.app_name);

@@ -26,6 +26,7 @@
 namespace dacm {
 namespace {
 
+using support::Counter;
 using support::Histogram;
 using support::Metrics;
 using support::Tracer;
@@ -309,6 +310,10 @@ TEST(TelemetryIntegrationTest, RecoveryTraceHasExactlyOneReplaySpan) {
 
 TEST(TelemetryIntegrationTest, ServerCountersFoldIntoRegistry) {
   auto& registry = Metrics::Instance();
+  Counter& deploys_ok = registry.GetCounter("dacm_server_deploys_ok_total");
+  Counter& acks = registry.GetCounter("dacm_server_acks_received_total");
+  const std::uint64_t deploys_before = deploys_ok.Value();
+  const std::uint64_t acks_before = acks.Value();
   TelemetryRig rig(/*vehicles=*/16);
   rig.UploadApp("maps");
   auto report = rig.server.DeployCampaign(rig.user, "maps",
@@ -317,17 +322,38 @@ TEST(TelemetryIntegrationTest, ServerCountersFoldIntoRegistry) {
   rig.simulator.Run();
 
   // The ack flush folded the server's counters into the registry: the
-  // exported counters agree with the accessor snapshot.
+  // exported counters rose by exactly the accessor snapshot.
   const auto stats = rig.server.stats();
-  EXPECT_EQ(registry.GetCounter("dacm_server_deploys_ok_total").Value(),
-            stats.deploys_ok);
-  EXPECT_EQ(registry.GetCounter("dacm_server_acks_received_total").Value(),
-            stats.acks_received);
+  EXPECT_EQ(deploys_ok.Value() - deploys_before, stats.deploys_ok);
+  EXPECT_EQ(acks.Value() - acks_before, stats.acks_received);
   EXPECT_EQ(stats.deploys_ok, 16u);
   EXPECT_GE(registry.GetHistogram("dacm_deploy_roundtrip_us").Count(), 16u);
   const std::string text = registry.TextExposition();
   EXPECT_NE(text.find("dacm_server_deploys_ok_total"), std::string::npos);
   EXPECT_NE(text.find("dacm_sim_events_total"), std::string::npos);
+}
+
+TEST(TelemetryIntegrationTest, ServersInOneProcessAddUpTheirCounters) {
+  Counter& deploys_ok =
+      Metrics::Instance().GetCounter("dacm_server_deploys_ok_total");
+  const std::uint64_t before = deploys_ok.Value();
+  TelemetryRig first(/*vehicles=*/4);
+  TelemetryRig second(/*vehicles=*/6);
+  auto deploy = [](TelemetryRig& rig, const std::string& app) {
+    rig.UploadApp(app);
+    ASSERT_TRUE(rig.server.DeployCampaign(rig.user, app, rig.fleet->vins())
+                    .ok());
+    rig.simulator.Run();
+  };
+  deploy(first, "maps");
+  deploy(second, "maps");
+  // A later fold of the first server adds only what it did since its
+  // previous fold; it neither drops the second server's deploys nor
+  // counts its own twice.
+  deploy(first, "nav");
+  ASSERT_EQ(first.server.stats().deploys_ok, 8u);
+  ASSERT_EQ(second.server.stats().deploys_ok, 6u);
+  EXPECT_EQ(deploys_ok.Value() - before, 14u);
 }
 
 }  // namespace

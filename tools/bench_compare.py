@@ -6,10 +6,14 @@ document>, ... } aggregate written by the bench_all target) against the
 committed BENCH_baseline.json and reports every tracked metric that moved
 by more than the tolerance (default +-15%).
 
-The step is advisory by design: CI runners vary wildly, so a regression
-prints GitHub warning annotations and a table, and the exit code is 0
-unless --strict is given.  The point is that the perf trajectory is
-*visible* on every PR, not that noise blocks merges.
+The comparison is advisory by design: CI runners vary wildly, so a
+regression prints GitHub warning annotations and a table, and the exit
+code is 0 unless --strict is given.  The point is that the perf
+trajectory is *visible* on every PR, not that noise blocks merges.
+
+An errored benchmark row in CURRENT (Google Benchmark's error_occurred,
+set by SkipWithError) is not noise: it timed a failure or nothing at
+all.  Each one is named with its error_message and the exit code is 1.
 
 Usage:
   bench_compare.py BASELINE CURRENT [--tolerance 0.15] [--strict]
@@ -134,6 +138,19 @@ def find_benchmark(doc, name):
     return None
 
 
+def errored_rows(doc):
+    """(binary, benchmark name, error message) of every errored row."""
+    rows = []
+    for binary, results in sorted(doc.items()):
+        if not isinstance(results, dict):
+            continue
+        for bench in results.get("benchmarks", []):
+            if bench.get("error_occurred"):
+                rows.append((binary, bench.get("name", "?"),
+                             bench.get("error_message", "")))
+    return rows
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("baseline")
@@ -153,6 +170,11 @@ def main():
         # warn, not fail the job.
         print(f"::warning title=bench-compare::could not load inputs: {err}")
         return 1 if args.strict else 0
+
+    errors = errored_rows(current)
+    for binary, name, message in errors:
+        print(f"::error title=bench-compare::{binary} {name} errored: "
+              f"{message}")
 
     regressions = 0
     print(f"{'metric':<46} {'baseline':>12} {'current':>12} {'delta':>8}")
@@ -204,9 +226,13 @@ def main():
     if regressions:
         print(f"\n{regressions} metric(s) beyond ±{args.tolerance:.0%} "
               f"of the committed baseline (warn-only).")
-        return 1 if args.strict else 0
-    print("\nAll tracked metrics within tolerance of the committed baseline.")
-    return 0
+    else:
+        print("\nAll tracked metrics within tolerance of the committed "
+              "baseline.")
+    if errors:
+        print(f"{len(errors)} benchmark row(s) errored; see the errors above.")
+        return 1
+    return 1 if regressions and args.strict else 0
 
 
 if __name__ == "__main__":
