@@ -20,8 +20,11 @@
 //   * BM_FleetFaultCampaign — the fault matrix: a retrying CampaignEngine
 //     rollout over a seeded sim::FaultScenario (offline churn, WAN flaps,
 //     transient nack cohorts).  Reported per case, and in the --json
-//     output bench_all aggregates: waves-to-convergence, push retries per
-//     vehicle, and the p99 sim-time to installed.
+//     output bench_all aggregates: waves-to-convergence, pushes per
+//     vehicle, re-pushes and install-payload builds
+//     (generations_per_iter: 1 when the campaign builds its one-model
+//     batch once and every retry wave re-pushes it) per iteration, and
+//     the p99 sim-time to installed.
 //   * BM_StatusAppend — the WAL stage alone: ns to encode and append one
 //     status paragraph for the campaign row shape.
 //   * BM_FleetMegaCampaign — the memory-scaling probe: one seeded
@@ -385,7 +388,11 @@ void BM_FleetFaultCampaign(benchmark::State& state) {
   policy.max_backoff = 2 * sim::kSecond;
   policy.abort_nack_fraction = 2.0;  // transients heal; never abort
 
-  std::uint64_t waves = 0, pushes = 0, repushes = 0;
+  std::uint64_t waves = 0, pushes = 0, repushes = 0, generations = 0;
+  const server::PackageCache& cache = bench.server.package_cache();
+  auto builds = [&cache] {
+    return cache.stats().variants + cache.stats().regenerations;
+  };
   support::Histogram tti_us;
   for (auto _ : state) {
     sim::FaultScenario faults(bench.simulator, bench.network, /*seed=*/0xFA417);
@@ -404,6 +411,7 @@ void BM_FleetFaultCampaign(benchmark::State& state) {
       faults.AddNackCohort(*bench.fleet, nack, 500 * sim::kMillisecond);
     }
     const std::uint64_t repushes_before = bench.server.stats().repushes;
+    const std::uint64_t builds_before = builds();
     auto id = engine.StartDeploy(bench.user, "campaign", bench.fleet->vins(),
                                  policy);
     if (!id.ok()) {
@@ -422,6 +430,7 @@ void BM_FleetFaultCampaign(benchmark::State& state) {
     waves += snapshot.waves_pushed;
     pushes += snapshot.total_pushes;
     repushes += bench.server.stats().repushes - repushes_before;
+    generations += builds() - builds_before;
     const auto times_to_done = engine.TimesToDone(*id);
     for (std::uint64_t t : *times_to_done) tti_us.Observe(t);
     // Reset through a (untimed) rollback campaign — the uninstall-batch
@@ -455,6 +464,8 @@ void BM_FleetFaultCampaign(benchmark::State& state) {
       static_cast<double>(pushes) /
       (iterations * static_cast<double>(fleet_size));
   state.counters["repushes_per_iter"] = static_cast<double>(repushes) / iterations;
+  state.counters["generations_per_iter"] =
+      static_cast<double>(generations) / iterations;
   if (tti_us.Count() != 0) {
     // Sim-time, not wall.  The p99 key predates the histogram rework and
     // is kept verbatim for baseline comparability.

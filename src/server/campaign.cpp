@@ -375,6 +375,9 @@ void CampaignEngine::Finish(Campaign& campaign, CampaignStatus status) {
   }
   campaign.status = status;
   campaign.finished_at = simulator_.Now();
+  // No wave follows: release the payloads the waves built.  Rows still in
+  // flight keep theirs until they converge.
+  campaign.pins = PayloadPins();
   // One whole-campaign span (the flight recorder's top-level track) plus
   // the terminal instant; ts/dur are sim time, status is the enum value.
   auto& tracer = support::Tracer::Instance();
@@ -413,7 +416,8 @@ void CampaignEngine::PushWave(Campaign& campaign,
   campaign.last_push_at = simulator_.Now();
 
   auto outcomes = server_.CampaignWavePush(campaign.user, campaign.app_name,
-                                           campaign.kind, targets);
+                                           campaign.kind, targets,
+                                           campaign.pins);
 
   std::size_t pushed = 0, offline = 0, rejected = 0, done = 0;
   for (std::size_t i = 0; i < retry.size(); ++i) {

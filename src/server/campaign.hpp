@@ -39,7 +39,13 @@
 // per-slot epoch, so destroying the engine (or Forget()ing a campaign)
 // with a settle-delay timer still scheduled leaves an inert event, not
 // a dangling callback — the kill-and-restart recovery harness does
-// exactly that.
+// exactly that.  A deploy campaign also owns the install payloads its
+// waves built (CampaignWavePush hands them over): it holds them from
+// the wave that built them until Finish, whatever the terminal status,
+// so each (model, app, version, id-layout) batch is built at most once
+// per campaign and a retry wave re-pushes wave 1's bytes by refcount.
+// The pins die with the engine too; a campaign recovered from the
+// journal starts with none.
 #pragma once
 
 #include <memory>
@@ -231,6 +237,9 @@ class CampaignEngine {
     std::uint64_t epoch = 0;
     /// Row indices mutated since the last journal commit.
     std::vector<std::uint32_t> dirty;
+    /// Install payloads this campaign's waves built, one per variant,
+    /// held until Finish (see "Lifetime" above).
+    PayloadPins pins;
   };
 
   support::Result<CampaignId> Start(CampaignKind kind, UserId user,

@@ -87,7 +87,8 @@ support::Result<CachedBatch> PackageCache::Acquire(
       ++stats_.hits;
       return CachedBatch{variant.manifest, std::move(payload)};
     }
-    // Payload expired (every in-flight row converged).  Generation is
+    // Payload expired (every in-flight row converged and no running
+    // campaign pins it).  Generation is
     // deterministic in (app, confs, layout), so re-running it against the
     // matching layout reproduces the pinned manifest's bytes exactly.
     DACM_ASSIGN_OR_RETURN(std::vector<GeneratedPackage> generated,
@@ -95,7 +96,7 @@ support::Result<CachedBatch> PackageCache::Acquire(
     std::shared_ptr<const BatchPayload> payload = BuildPayload(app, generated);
     variant.payload = payload;
     ++stats_.regenerations;
-    return CachedBatch{variant.manifest, std::move(payload)};
+    return CachedBatch{variant.manifest, std::move(payload), /*built=*/true};
   }
   DACM_ASSIGN_OR_RETURN(std::vector<GeneratedPackage> generated,
                         Generate(app, conf, system_sw, layout));
@@ -103,7 +104,7 @@ support::Result<CachedBatch> PackageCache::Acquire(
   std::shared_ptr<const BatchManifest> manifest = BuildManifest(app, generated);
   entry->second.variants.push_back({layout, manifest, payload});
   ++stats_.variants;
-  return CachedBatch{std::move(manifest), std::move(payload)};
+  return CachedBatch{std::move(manifest), std::move(payload), /*built=*/true};
 }
 
 std::size_t PackageCache::entries() const {

@@ -21,11 +21,15 @@
 //  * BatchPayload — the heavy part: ONE buffer, the install envelope,
 //    which holds each package binary exactly once (about 50 KiB for a
 //    4-plug-in app of 12 KiB binaries); the per-plug-in packages are
-//    views into it.  Rows hold it only while the install is in flight;
-//    the cache keeps a weak_ptr, so when the last pending row converges
-//    the payload is freed and steady-state memory is O(distinct batches),
-//    not O(fleet).  A later repush (recovery, restore) regenerates it
-//    deterministically from the pinned layout.
+//    views into it.  Two owners hold it: the rows whose install is in
+//    flight, and the campaign whose wave built it (CampaignEngine pins
+//    every payload its waves build until the campaign finishes, so a
+//    retry wave re-pushes the bytes wave 1 built instead of rebuilding
+//    them).  The cache keeps only a weak_ptr, so once the last pending
+//    row converges and the building campaign (if any) has finished, the
+//    payload is freed and steady-state memory is O(distinct batches),
+//    not O(fleet).  A later repush (recovery, restore, a later campaign)
+//    regenerates it deterministically from the pinned layout.
 #pragma once
 
 #include <cstdint>
@@ -74,9 +78,16 @@ struct BatchPayload {
   std::vector<std::span<const std::uint8_t>> packages;
 };
 
+/// Payloads a campaign holds alive until it finishes (see "Two
+/// lifetimes" above).
+using PayloadPins = std::vector<std::shared_ptr<const BatchPayload>>;
+
 struct CachedBatch {
   std::shared_ptr<const BatchManifest> manifest;
   std::shared_ptr<const BatchPayload> payload;
+  /// True when this Acquire built `payload` (a new variant, or an expired
+  /// one revived); false on a hit, whose payload already has an owner.
+  bool built = false;
 };
 
 /// Server-wide cache of generated install batches, keyed by
@@ -96,8 +107,9 @@ class PackageCache {
   /// Returns the batch for `app` on `model` given the vehicle's occupied
   /// ids in canonical form (FleetStore::DeriveLayout) — generating it on
   /// first sight of this (key, layout), reviving an expired payload
-  /// deterministically, or handing back the live one.  Generation
-  /// failures (placement/port-exhaustion/...) pass through verbatim and
+  /// deterministically, or handing back the live one (CachedBatch::built
+  /// tells the two apart).  Generation failures
+  /// (placement/port-exhaustion/...) pass through verbatim and
   /// cache nothing.
   support::Result<CachedBatch> Acquire(const std::string& model, const App& app,
                                        const SwConf& conf,
@@ -106,7 +118,8 @@ class PackageCache {
 
   /// Distinct (model, app, version) keys seen.
   std::size_t entries() const;
-  /// Variants whose payload is still alive (some row holds it in flight).
+  /// Variants whose payload is still alive (an in-flight row or a
+  /// running campaign holds it).
   std::size_t live_payloads() const;
   const Stats& stats() const { return stats_; }
 

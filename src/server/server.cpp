@@ -265,7 +265,8 @@ support::Status TrustedServer::UploadApp(App app) {
 support::Status TrustedServer::DeployVehicle(UserId user,
                                              std::uint32_t vehicle,
                                              std::string_view vin,
-                                             const App& app) {
+                                             const App& app,
+                                             PayloadPins* built) {
   if (vehicle == kNil || !store_.bound(vehicle)) {
     return support::NotFound("VIN: " + std::string(vin));
   }
@@ -351,6 +352,7 @@ support::Status TrustedServer::DeployVehicle(UserId user,
   DACM_ASSIGN_OR_RETURN(
       CachedBatch batch,
       cache_.Acquire(model_name, app, *conf, model->sw, layout_scratch_));
+  if (batch.built && built != nullptr) built->push_back(batch.payload);
 
   // Record + push.
   const std::uint32_t r = store_.AddRow(vehicle);
@@ -400,7 +402,8 @@ support::Status TrustedServer::Deploy(UserId user, const std::string& vin,
     }
     return support::NotFound("app: " + app_name);
   }
-  return DeployVehicle(user, store_.Find(vin), vin, app_it->second);
+  return DeployVehicle(user, store_.Find(vin), vin, app_it->second,
+                       /*built=*/nullptr);
 }
 
 support::Result<CampaignReport> TrustedServer::DeployCampaign(
@@ -416,7 +419,8 @@ support::Result<CampaignReport> TrustedServer::DeployCampaign(
   ServerMetrics& metrics = ServerMetrics::Get();
   for (const std::string& vin : vins) {
     const auto start = std::chrono::steady_clock::now();
-    auto status = DeployVehicle(user, store_.Find(vin), vin, app);
+    auto status =
+        DeployVehicle(user, store_.Find(vin), vin, app, /*built=*/nullptr);
     const auto ns = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - start)
@@ -465,7 +469,7 @@ RowProbe TrustedServer::ProbeRow(std::uint32_t vehicle,
 
 std::vector<WaveOutcome> TrustedServer::CampaignWavePush(
     UserId user, const std::string& app_name, CampaignKind kind,
-    std::span<const WaveTarget> targets) {
+    std::span<const WaveTarget> targets, PayloadPins& built) {
   std::vector<WaveOutcome> outcomes(targets.size());
   const App* app = nullptr;
   if (kind == CampaignKind::kDeploy) {
@@ -481,7 +485,7 @@ std::vector<WaveOutcome> TrustedServer::CampaignWavePush(
   }
 
   for (std::size_t i = 0; i < targets.size(); ++i) {
-    outcomes[i] = WavePushTarget(user, targets[i], app_name, app, kind);
+    outcomes[i] = WavePushTarget(user, targets[i], app_name, app, kind, built);
   }
   return outcomes;
 }
@@ -489,7 +493,8 @@ std::vector<WaveOutcome> TrustedServer::CampaignWavePush(
 WaveOutcome TrustedServer::WavePushTarget(UserId user,
                                           const WaveTarget& target,
                                           const std::string& app_name,
-                                          const App* app, CampaignKind kind) {
+                                          const App* app, CampaignKind kind,
+                                          PayloadPins& built) {
   const std::uint32_t vehicle = target.vehicle;
   const std::string_view vin = target.vin;
   if (vehicle == kNil || !store_.bound(vehicle)) {
@@ -531,7 +536,7 @@ WaveOutcome TrustedServer::WavePushTarget(UserId user,
       case InstallState::kPending:
         // Pushed in an earlier wave but the acks never came back (link
         // flap): re-push the recorded batch verbatim.
-        return ClassifyPush(RepushInstallBatch(vehicle, r));
+        return ClassifyPush(RepushInstallBatch(vehicle, r, built));
       case InstallState::kFailed: {
         // A nacked row blocks redeployment; clear it and fall through to
         // a fresh deploy.
@@ -542,7 +547,7 @@ WaveOutcome TrustedServer::WavePushTarget(UserId user,
       }
     }
   }
-  return ClassifyPush(DeployVehicle(user, vehicle, vin, *app));
+  return ClassifyPush(DeployVehicle(user, vehicle, vin, *app, &built));
 }
 
 support::Status TrustedServer::PushUninstall(std::uint32_t vehicle,
@@ -573,13 +578,14 @@ support::Status TrustedServer::PushUninstall(std::uint32_t vehicle,
 }
 
 support::Status TrustedServer::RepushInstallBatch(std::uint32_t vehicle,
-                                                  std::uint32_t r) {
+                                                  std::uint32_t r,
+                                                  PayloadPins& built) {
   // A recovered row carries no payload (RecoverInstallDb persists ids,
   // not package bytes), and a convergence race can leave a row whose
   // payload was already dropped.  Rematerialize from the catalog before
   // pushing — never push an empty wire.
   if (store_.row(r).payload == nullptr) {
-    DACM_RETURN_IF_ERROR(MaterializeRowPackages(vehicle, r));
+    DACM_RETURN_IF_ERROR(MaterializeRowPackages(vehicle, r, &built));
   }
   FleetStore::InstallRow& row = store_.row(r);
   row.acked = 0;
@@ -593,7 +599,8 @@ support::Status TrustedServer::RepushInstallBatch(std::uint32_t vehicle,
 }
 
 support::Status TrustedServer::MaterializeRowPackages(std::uint32_t vehicle,
-                                                      std::uint32_t r) {
+                                                      std::uint32_t r,
+                                                      PayloadPins* built) {
   FleetStore::InstallRow& row = store_.row(r);
   const std::string& app_name = row.manifest->app_name;
   auto app_it = apps_.find(app_name);
@@ -616,6 +623,7 @@ support::Status TrustedServer::MaterializeRowPackages(std::uint32_t vehicle,
   DACM_ASSIGN_OR_RETURN(
       CachedBatch batch,
       cache_.Acquire(model_name, app, *conf, model->sw, layout_scratch_));
+  if (batch.built && built != nullptr) built->push_back(batch.payload);
   row.manifest = batch.manifest;
   row.payload = batch.payload;
   // Re-record the paragraph: the regenerated ids may differ from the
@@ -687,7 +695,8 @@ support::Status TrustedServer::Restore(UserId user, const std::string& vin,
     // A recovered (or converged) row has no payload; rebuild from the
     // catalog before re-pushing (same ids when the layout is unchanged).
     if (store_.row(r).payload == nullptr) {
-      DACM_RETURN_IF_ERROR(MaterializeRowPackages(vehicle, r));
+      DACM_RETURN_IF_ERROR(
+          MaterializeRowPackages(vehicle, r, /*built=*/nullptr));
     }
     FleetStore::InstallRow& row = store_.row(r);
     // Write-ahead: the row drops back to in-flight before the re-push.

@@ -273,11 +273,17 @@ class TrustedServer {
   /// nacked row, or a kUninstallBatch rollback push — in `targets` order,
   /// like DeployCampaign.  Targets must come from
   /// ResolveVehicle (an unresolved one is rejected as an unknown VIN).
+  /// Every install payload the wave built (a fresh deploy or a re-push
+  /// that missed the cache; never a hit) is appended to `built`: the
+  /// caller holds them until its campaign finishes, so its later waves
+  /// re-push the same bytes instead of rebuilding them once the first
+  /// wave's rows converge.  Rollback waves build nothing.
   /// Returns outcomes in `targets` order.
   std::vector<WaveOutcome> CampaignWavePush(UserId user,
                                             const std::string& app_name,
                                             CampaignKind kind,
-                                            std::span<const WaveTarget> targets);
+                                            std::span<const WaveTarget> targets,
+                                            PayloadPins& built);
 
   /// Applies every staged acknowledgement now, in arrival order.  Inbound
   /// kAck/kAckBatch messages are staged into one inbox and normally
@@ -342,13 +348,16 @@ class TrustedServer {
   /// unbound: rejected as an unknown VIN), shared by Deploy,
   /// DeployCampaign and deploy waves: checks, cached batch acquisition,
   /// write-ahead row, one kInstallBatch push (rolled back if it fails).
+  /// A payload the acquisition built is appended to `built` when non-null
+  /// (deploy waves; see CampaignWavePush).
   support::Status DeployVehicle(UserId user, std::uint32_t vehicle,
-                                std::string_view vin, const App& app);
+                                std::string_view vin, const App& app,
+                                PayloadPins* built);
 
   /// One target of a campaign wave; `app` is null for rollback waves.
   WaveOutcome WavePushTarget(UserId user, const WaveTarget& target,
                              const std::string& app_name, const App* app,
-                             CampaignKind kind);
+                             CampaignKind kind, PayloadPins& built);
   /// The uninstall push shared by UninstallApp and rollback waves: writes
   /// the half-removed paragraph, marks the row kUninstalling, pushes the
   /// manifest's kUninstallBatch and resets the ack masks.  A failed push
@@ -358,16 +367,20 @@ class TrustedServer {
   /// Re-pushes the install batch of a stale kPending row (previous
   /// wave's acks were lost), resetting its ack masks.  Rematerializes the
   /// payload — dropped on convergence, never persisted — before pushing,
-  /// so it never sends an empty wire.
-  support::Status RepushInstallBatch(std::uint32_t vehicle, std::uint32_t row);
+  /// so it never sends an empty wire; a payload that rebuilt goes to
+  /// `built`.
+  support::Status RepushInstallBatch(std::uint32_t vehicle, std::uint32_t row,
+                                     PayloadPins& built);
   /// Regenerates `row`'s packages from the catalog: derives the occupied ids
   /// of the vehicle's *other* rows, acquires the cached batch for that
   /// layout (deterministic generation reproduces the recorded ids when
   /// nothing shifted), and records the refreshed paragraph.  Used when
   /// the payload is absent — after RecoverInstallDb, or when convergence
-  /// dropped it.
+  /// dropped it.  A payload the acquisition built is appended to `built`
+  /// when non-null.
   support::Status MaterializeRowPackages(std::uint32_t vehicle,
-                                         std::uint32_t row);
+                                         std::uint32_t row,
+                                         PayloadPins* built);
   /// Names of installed apps that depend on `app_name` ("" when none).
   std::string DependentsOf(std::uint32_t vehicle,
                            const std::string& app_name) const;

@@ -196,6 +196,95 @@ TEST(CampaignEngineTest, NackCohortHealsAndTheCampaignConverges) {
   EXPECT_GE(rig.fleet->nacks_sent(), 6u);
 }
 
+/// Install payloads the package cache has built so far: new variants
+/// plus expired payloads revived.
+std::uint64_t PayloadBuilds(const server::TrustedServer& server) {
+  const auto& stats = server.package_cache().stats();
+  return stats.variants + stats.regenerations;
+}
+
+TEST(CampaignEngineTest, RetryWavesReuseTheCampaignsPayloads) {
+  ScriptedCampaign rig(/*vehicles=*/16);
+  rig.UploadApp("background", /*plugins=*/1);
+  rig.UploadApp("maps");
+  // Two id layouts: vehicles 0-7 already run a background app whose
+  // port ids the maps batch must allocate around; 8-15 run nothing.
+  for (std::size_t i = 0; i < 8; ++i) {
+    ASSERT_TRUE(
+        rig.server.Deploy(rig.user, rig.fleet->vins()[i], "background").ok());
+  }
+  rig.simulator.Run();
+  ASSERT_EQ(rig.server.package_cache().live_payloads(), 0u);
+  const std::uint64_t builds_before = PayloadBuilds(rig.server);
+
+  // In each layout, one vehicle is dark for wave 1 and dials back in
+  // before wave 2, and one nacks wave 1 and heals before wave 2.  Every
+  // other row converges inside wave 1, so by wave 2 no row holds either
+  // layout's payload: only the campaign does.
+  sim::FaultScenario faults(rig.simulator, rig.network, /*seed=*/5);
+  for (std::size_t i : {0u, 8u}) {
+    faults.ChurnAfter(*rig.fleet, i, /*after=*/0,
+                      /*offline_for=*/150 * sim::kMillisecond);
+    faults.TransientNacks(*rig.fleet, i + 1, 100 * sim::kMillisecond);
+  }
+  auto id = rig.engine.StartDeploy(rig.user, "maps", rig.fleet->vins(),
+                                   FastPolicy());
+  ASSERT_TRUE(id.ok());
+  rig.simulator.Run();
+
+  auto snapshot = *rig.engine.Snapshot(*id);
+  EXPECT_EQ(snapshot.status, CampaignStatus::kConverged);
+  EXPECT_EQ(snapshot.done, 16u);
+  EXPECT_EQ(snapshot.waves_pushed, 2u);
+  EXPECT_GE(rig.fleet->nacks_sent(), 2u);
+  // Each layout was built once, in wave 1; wave 2 re-pushed those bytes.
+  EXPECT_EQ(PayloadBuilds(rig.server) - builds_before, 2u);
+  // Finish released the pins and every row converged.
+  EXPECT_EQ(rig.server.package_cache().live_payloads(), 0u);
+  for (const std::string& vin : rig.fleet->vins()) {
+    EXPECT_EQ(*rig.server.AppState(vin, "maps"), InstallState::kInstalled) << vin;
+  }
+}
+
+TEST(CampaignEngineTest, ExhaustedCampaignReleasesItsPayloads) {
+  ScriptedCampaign rig(/*vehicles=*/2);
+  rig.UploadApp("maps");
+  ASSERT_TRUE(rig.fleet->TakeOffline(1).ok());
+
+  auto id = rig.engine.StartDeploy(rig.user, "maps", rig.fleet->vins(),
+                                   FastPolicy(/*max_waves=*/3));
+  ASSERT_TRUE(id.ok());
+  // Past wave 1's round trip: vehicle 0 converged, yet the campaign still
+  // holds the payload for the retry waves.
+  rig.simulator.RunFor(10 * sim::kMillisecond);
+  EXPECT_EQ(*rig.server.AppState(rig.fleet->vins()[0], "maps"),
+            InstallState::kInstalled);
+  EXPECT_EQ(rig.server.package_cache().live_payloads(), 1u);
+  rig.simulator.Run();
+
+  EXPECT_EQ(rig.engine.Snapshot(*id)->status, CampaignStatus::kExhausted);
+  EXPECT_EQ(rig.server.package_cache().live_payloads(), 0u);
+}
+
+TEST(CampaignEngineTest, AbortedCampaignReleasesItsPayloads) {
+  ScriptedCampaign rig(/*vehicles=*/12, /*nack_every=*/1);
+  rig.UploadApp("bad-app");
+  auto policy = FastPolicy(/*max_waves=*/5);
+  policy.abort_nack_fraction = 0.5;
+  auto id = rig.engine.StartDeploy(rig.user, "bad-app", rig.fleet->vins(), policy);
+  ASSERT_TRUE(id.ok());
+  // Every row nacked (and dropped its payload) before the settle tick:
+  // only the campaign holds it.
+  rig.simulator.RunFor(10 * sim::kMillisecond);
+  EXPECT_EQ(*rig.server.AppState(rig.fleet->vins()[0], "bad-app"),
+            InstallState::kFailed);
+  EXPECT_EQ(rig.server.package_cache().live_payloads(), 1u);
+  rig.simulator.Run();
+
+  EXPECT_EQ(rig.engine.Snapshot(*id)->status, CampaignStatus::kAborted);
+  EXPECT_EQ(rig.server.package_cache().live_payloads(), 0u);
+}
+
 TEST(CampaignEngineTest, RollbackRetriesNackedUninstallsUntilTheCohortHeals) {
   ScriptedCampaign rig(/*vehicles=*/4);
   rig.UploadApp("maps");
@@ -350,9 +439,13 @@ TEST(CampaignEngineTest, EngineDestroyedWithSettleTimerPendingLeavesInertEvents)
     // settle tick is still scheduled when the engine dies.
     simulator.RunFor(10 * sim::kMillisecond);
     EXPECT_FALSE(engine.Finished(*id));
+    // The running campaign still holds the payload its wave built.
+    EXPECT_EQ(server.package_cache().live_payloads(), 1u);
   }
   EXPECT_GT(simulator.PendingEvents(), 0u);  // the orphaned tick
   simulator.Run();  // must be absorbed, not crash
+  // The pins died with the engine.
+  EXPECT_EQ(server.package_cache().live_payloads(), 0u);
 
   // The server outlived the engine and already applied the in-flight
   // acks; orchestration died, the install table did not.

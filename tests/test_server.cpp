@@ -383,11 +383,13 @@ TEST(ServerDurabilityTest, UninstallOfflineVehicleLeavesTheRowInstalled) {
   EXPECT_EQ(server.Deploy(alice, "VIN-1", "app").code(),
             support::ErrorCode::kAlreadyExists);
   const WaveTarget target{"VIN-1", server.ResolveVehicle("VIN-1")};
+  PayloadPins built;
   const auto outcomes = server.CampaignWavePush(
-      alice, "app", CampaignKind::kDeploy, std::span(&target, 1));
+      alice, "app", CampaignKind::kDeploy, std::span(&target, 1), built);
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_EQ(outcomes[0].action, WaveOutcome::Action::kAlreadyDone)
       << outcomes[0].status.ToString();
+  EXPECT_TRUE(built.empty());
 
   // The snap-back was re-recorded: a server recovered from the status
   // log holds the same fleet.
@@ -855,8 +857,10 @@ TEST_F(CampaignFixture, RollbackReusesTheCachedUninstallBatch) {
   for (const std::string& vin : fleet->vins()) {
     targets.push_back(WaveTarget{vin, server.ResolveVehicle(vin)});
   }
-  auto outcomes =
-      server.CampaignWavePush(alice, "app", CampaignKind::kRollback, targets);
+  PayloadPins built;
+  auto outcomes = server.CampaignWavePush(alice, "app", CampaignKind::kRollback,
+                                          targets, built);
+  EXPECT_TRUE(built.empty());  // the uninstall wire lives on the manifest
   for (const WaveOutcome& outcome : outcomes) {
     EXPECT_EQ(outcome.action, WaveOutcome::Action::kPushed)
         << outcome.status.ToString();

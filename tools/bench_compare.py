@@ -23,22 +23,14 @@ import argparse
 import json
 import sys
 
-# Metrics tracked across PRs: (bench binary, benchmark name regex-free
-# prefix, field, human label[, baseline name]).  A missing benchmark on
-# either side is reported but never fatal (matrices evolve).  The optional
-# fifth element compares the current benchmark against a *different*
-# benchmark in the baseline file — used to hold a new variant (e.g. the
-# durable campaign) to the committed numbers of the path it wraps, and to
-# map a renamed benchmark onto its committed name (the fleet benchmarks
-# lost their `shards` argument and BM_FleetCampaign its `lanes` argument;
-# the baseline still names its rows `shards:1/...` and `.../lanes:1/...`).
+# Metrics tracked across PRs: (bench binary, benchmark name, field, human
+# label).  A missing benchmark on either side is reported but never fatal
+# (matrices evolve).
 KEY_METRICS = [
     ("bench_fleet", "BM_FleetCampaign/fleet:1000/real_time",
-     "items_per_second", "campaign deploys/s (1k fleet)",
-     "BM_FleetCampaign/shards:1/fleet:1000/lanes:1/real_time"),
+     "items_per_second", "campaign deploys/s (1k fleet)"),
     ("bench_fleet", "BM_FleetCampaign/fleet:1000/real_time",
-     "serial_sim_fraction", "serial sim fraction (1k fleet)",
-     "BM_FleetCampaign/shards:1/fleet:1000/lanes:1/real_time"),
+     "serial_sim_fraction", "serial sim fraction (1k fleet)"),
     # Journal overhead: the durable campaign (write-ahead status DB +
     # campaign journal) tracked against its own committed numbers.  It
     # used to be paired against the memory-only campaign, but the
@@ -47,21 +39,16 @@ KEY_METRICS = [
     # being a meaningful bar — what must not regress is the durable
     # path's absolute throughput.
     ("bench_fleet", "BM_FleetDurableCampaign/fleet:1000/real_time",
-     "items_per_second", "durable campaign deploys/s (1k)",
-     "BM_FleetDurableCampaign/shards:1/fleet:1000/real_time"),
+     "items_per_second", "durable campaign deploys/s (1k)"),
     # Memory scaling of the SoA fleet store + content-addressed package
     # cache: the converged resident-set cost per VIN at the bench-smoke
     # shape (100k vehicles, 24 model cohorts).  Lower is better.
     ("bench_fleet",
      "BM_FleetMegaCampaign/fleet:100000/models:24/iterations:1/real_time",
-     "bytes_per_vehicle", "fleet memory bytes/vehicle (100k, 24 models)",
-     "BM_FleetMegaCampaign/shards:1/fleet:100000/models:24/"
-     "iterations:1/real_time"),
+     "bytes_per_vehicle", "fleet memory bytes/vehicle (100k, 24 models)"),
     ("bench_fleet",
      "BM_FleetMegaCampaign/fleet:100000/models:24/iterations:1/real_time",
-     "deploys_per_s", "mega campaign deploys/s (100k, 24 models)",
-     "BM_FleetMegaCampaign/shards:1/fleet:100000/models:24/"
-     "iterations:1/real_time"),
+     "deploys_per_s", "mega campaign deploys/s (100k, 24 models)"),
     # Restart cost: replay throughput over the raw multi-campaign log,
     # and the absolute time a checkpointed restart takes to become
     # serviceable (lower is better).
@@ -75,24 +62,25 @@ KEY_METRICS = [
     # convergence tail.  The sim-time ones are deterministic, so any drift
     # is a real pipeline change, not runner noise.
     ("bench_fleet", "BM_FleetCampaign/fleet:1000/real_time",
-     "vehicle_p99_us", "per-vehicle deploy p99 µs (1k)",
-     "BM_FleetCampaign/shards:1/fleet:1000/lanes:1/real_time"),
+     "vehicle_p99_us", "per-vehicle deploy p99 µs (1k)"),
     ("bench_fleet", "BM_FleetCampaign/fleet:1000/real_time",
-     "roundtrip_p99_ms", "push->ack round-trip p99 sim-ms (1k)",
-     "BM_FleetCampaign/shards:1/fleet:1000/lanes:1/real_time"),
+     "roundtrip_p99_ms", "push->ack round-trip p99 sim-ms (1k)"),
     ("bench_fleet", "BM_FleetCampaign/fleet:1000/real_time",
-     "ack_flush_p99_us", "ack-flush p99 µs (1k)",
-     "BM_FleetCampaign/shards:1/fleet:1000/lanes:1/real_time"),
+     "ack_flush_p99_us", "ack-flush p99 µs (1k)"),
     ("bench_fleet", "BM_FleetDurableCampaign/fleet:1000/real_time",
-     "wal_fsync_p99_us", "WAL fsync p99 µs (1k, sync=64)",
-     "BM_FleetDurableCampaign/shards:1/fleet:1000/real_time"),
+     "wal_fsync_p99_us", "WAL fsync p99 µs (1k, sync=64)"),
     ("bench_fleet",
      "BM_FleetFaultCampaign/fleet:1000/churn_pct:20/flaps:2/nack_pct:10/"
      "real_time",
      "time_to_installed_p99_ms",
-     "faulted time-to-installed p99 sim-ms (full matrix)",
-     "BM_FleetFaultCampaign/shards:1/fleet:1000/churn_pct:20/flaps:2/"
-     "nack_pct:10/real_time"),
+     "faulted time-to-installed p99 sim-ms (full matrix)"),
+    # Package assembly per campaign: install payloads built (new variants
+    # plus expired ones revived) over one faulted one-model campaign.  A
+    # deterministic count: 1 when the retry waves re-push wave 1's batch.
+    ("bench_fleet",
+     "BM_FleetFaultCampaign/fleet:1000/churn_pct:20/flaps:2/nack_pct:10/"
+     "real_time",
+     "generations_per_iter", "payload builds per faulted campaign"),
     # The WAL stage alone: status paragraphs encoded + appended per second
     # for the campaign row shape (4 plug-ins x 8 ports).
     ("bench_fleet", "BM_StatusAppend",
@@ -105,8 +93,7 @@ KEY_METRICS = [
      "bytes_per_second", "CRC-32 GB/s (16 KiB)"),
     ("bench_fig1_vm", "BM_VmSpinLoop/10000",
      "items_per_second", "VM spin-loop instr/s"),
-    # The paper-layer drivers bench_all runs at a short min time; rows the
-    # committed baseline does not hold yet print as missing (warn-only).
+    # The paper-layer drivers bench_all runs at a short min time.
     ("bench_fig3_e2e", "BM_DeployRemoteCar",
      "real_time", "figure-3 remote-car deploy ms"),
     ("bench_fig2_server", "BM_DeployVsPluginCount/4",
@@ -178,10 +165,8 @@ def main():
 
     regressions = 0
     print(f"{'metric':<46} {'baseline':>12} {'current':>12} {'delta':>8}")
-    for entry in KEY_METRICS:
-        binary, name, field, label = entry[:4]
-        baseline_name = entry[4] if len(entry) > 4 else name
-        base_bench = find_benchmark(baseline.get(binary, {}), baseline_name)
+    for binary, name, field, label in KEY_METRICS:
+        base_bench = find_benchmark(baseline.get(binary, {}), name)
         cur_bench = find_benchmark(current.get(binary, {}), name)
         if base_bench is None or cur_bench is None:
             side = "baseline" if base_bench is None else "current"
@@ -197,7 +182,8 @@ def main():
         # ratios, per-iteration times and the histogram latency quantiles
         # (*_us / *_ms) are better when *lower*; throughputs when higher.
         lower_is_better = field in ("serial_sim_fraction", "bytes_per_vehicle",
-                                    "log_to_live_ratio", "real_time") \
+                                    "log_to_live_ratio", "real_time",
+                                    "generations_per_iter") \
             or field.endswith(("_us", "_ms"))
         worse = delta > args.tolerance if lower_is_better \
             else delta < -args.tolerance
